@@ -36,6 +36,7 @@ type latSink struct {
 
 func (s *latSink) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
 	s.h.Observe(int64(s.sched.Now().Sub(f.Origin)))
+	f.Release()
 }
 
 func main() {
@@ -77,6 +78,14 @@ func main() {
 	// Scale the Fig 2(c) process down to the replayed window.
 	mk := func() *workload.MMPP { return workload.DefaultFig2c().Process() }
 
+	// send transmits one generated frame. The generator reuses its buffer,
+	// so the bytes are copied once, into a pooled frame the sink releases.
+	send := func(tx *netsim.Port, wire []byte) {
+		f := netsim.NewFrameBytes(wire)
+		f.Origin = sched.Now()
+		tx.Send(f)
+	}
+
 	var drops func() uint64
 	switch *design {
 	case "commodity":
@@ -90,7 +99,7 @@ func main() {
 		gen := feed.NewFrameGen(feed.ExchangeB, src, dst)
 		workload.Generate(sched, mk(), 0, end, func() {
 			frame, _ := gen.Next(rng)
-			tx.Send(&netsim.Frame{Data: append([]byte(nil), frame...), Origin: sched.Now()})
+			send(tx, frame)
 		})
 		drops = func() uint64 { return sw.Port(1).Drops + tx.Drops }
 	case "l1s":
@@ -104,7 +113,7 @@ func main() {
 		gen := feed.NewFrameGen(feed.ExchangeB, src, dst)
 		workload.Generate(sched, mk(), 0, end, func() {
 			frame, _ := gen.Next(rng)
-			tx.Send(&netsim.Frame{Data: append([]byte(nil), frame...), Origin: sched.Now()})
+			send(tx, frame)
 		})
 		drops = func() uint64 { return sw.Port(1).Drops + tx.Drops }
 	case "l1s-merge4":
@@ -119,7 +128,7 @@ func main() {
 			gen := feed.NewFrameGen(feed.ExchangeB, src, dst)
 			workload.Generate(sched, mk(), 0, end, func() {
 				frame, _ := gen.Next(rng)
-				txp.Send(&netsim.Frame{Data: append([]byte(nil), frame...), Origin: sched.Now()})
+				send(txp, frame)
 			})
 		}
 		sw.Port(k).Tap = tap

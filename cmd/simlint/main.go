@@ -1,5 +1,5 @@
 // Command simlint is the multichecker for the simulator's determinism,
-// hot-path, and parallel-safety contracts. It runs nine analyzers over the
+// hot-path, and parallel-safety contracts. It runs ten analyzers over the
 // given package patterns and exits nonzero if any contract is violated:
 //
 //	wallclock    no time.Now/Since/Sleep in internal/ sim code
@@ -11,11 +11,13 @@
 //	goroutine    no go/chan/select in simulation packages outside RunParallel
 //	floatorder   no float accumulation in map-ordered or cross-worker merges
 //	ptrorder     no pointer-keyed maps, %p, or pointer-comparison sorts
+//	framemut     no writes into a netsim.Frame's Data outside package netsim
 //
-// The last four are interprocedural: they share a call graph over the
-// whole load (static + interface dispatch + callback references) and a
-// reachable-from-Run* taint, so run simlint over ./... — single-package
-// invocations see fewer callers and therefore fewer findings.
+// sharedstate, goroutine, floatorder and ptrorder are interprocedural:
+// they share a call graph over the whole load (static + interface dispatch
+// + callback references) and a reachable-from-Run* taint, so run simlint
+// over ./... — single-package invocations see fewer callers and therefore
+// fewer findings.
 //
 // Usage:
 //
@@ -43,6 +45,7 @@ import (
 
 	"tradenet/internal/analysis"
 	"tradenet/internal/analysis/floatorder"
+	"tradenet/internal/analysis/framemut"
 	"tradenet/internal/analysis/globalrand"
 	"tradenet/internal/analysis/goroutine"
 	"tradenet/internal/analysis/hotalloc"
@@ -64,6 +67,7 @@ var analyzers = []*analysis.Analyzer{
 	goroutine.Analyzer,
 	floatorder.Analyzer,
 	ptrorder.Analyzer,
+	framemut.Analyzer,
 }
 
 // jsonFinding is the -json wire shape: one object per line, stable field

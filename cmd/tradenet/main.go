@@ -8,6 +8,7 @@
 //	tradenet -experiment designs -scale paper
 //	tradenet -experiment attribution -trace trace.json
 //	tradenet -experiment all -telemetry out/telemetry
+//	tradenet -experiment designs -scale paper -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments (see DESIGN.md's per-experiment index):
 //
@@ -274,6 +275,8 @@ func main() {
 		tracePath  = flag.String("trace", "", "write the attribution experiment's Chrome trace JSON to this file")
 		telDir     = flag.String("telemetry", "", "arm the telemetry plane and write NDJSON run manifests into this directory")
 		sampleUs   = flag.Int64("sample-interval-us", 500, "telemetry sampling interval in virtual microseconds")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the selected experiment(s) to this file")
+		memProf    = flag.String("memprofile", "", "write a heap profile, taken after the selected experiment(s), to this file")
 	)
 	flag.Parse()
 
@@ -322,18 +325,29 @@ func main() {
 		manifests = append(manifests, arts...)
 	}
 
-	if *experiment == "all" {
-		for _, e := range experiments {
-			fmt.Printf("=== %s ===\n", e.id)
-			runOne(e)
-		}
-	} else {
+	selected := experiments
+	if *experiment != "all" {
 		e, ok := lookupExperiment(*experiment)
 		if !ok {
 			writeUsage(os.Stderr, *experiment)
 			os.Exit(2)
 		}
+		selected = []experimentSpec{e}
+	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, e := range selected {
+		if *experiment == "all" {
+			fmt.Printf("=== %s ===\n", e.id)
+		}
 		runOne(e)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if *telDir != "" {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,5 +43,36 @@ func TestExperimentIDsUniqueAndRunnable(t *testing.T) {
 	}
 	if _, ok := lookupExperiment("definitely-not-registered"); ok {
 		t.Error("lookupExperiment matched an unregistered id")
+	}
+}
+
+// -cpuprofile / -memprofile: each path gets a non-empty profile when stop
+// runs, an unwritable path is an error up front, and with both flags off
+// nothing is started or written.
+func TestStartProfiles(t *testing.T) {
+	stop, err := startProfiles("", "")
+	if err != nil {
+		t.Fatalf("profiles off: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("profiles off, stop: %v", err)
+	}
+
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if stop, err = startProfiles(cpu, mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", p, err)
+		}
+	}
+
+	if _, err := startProfiles(filepath.Join(dir, "no-such-dir", "cpu.pprof"), ""); err == nil {
+		t.Error("unwritable -cpuprofile path did not fail")
 	}
 }

@@ -99,8 +99,9 @@ func RunDualPathWAN(msgs int, seed int64) DualPathResult {
 			packer.Flush(func(dgram []byte) {
 				frame := pkt.AppendUDPFrame(nil, src, dst, uint16(i), dgram)
 				now := sched.Now()
-				mw.PortA.Send(&netsim.Frame{Data: append([]byte(nil), frame...), Origin: now})
-				fb.PortA.Send(&netsim.Frame{Data: append([]byte(nil), frame...), Origin: now})
+				// Frame bytes are immutable once sent: one slice backs both paths.
+				mw.PortA.Send(&netsim.Frame{Data: frame, Origin: now})
+				fb.PortA.Send(&netsim.Frame{Data: frame, Origin: now})
 			})
 		})
 	}

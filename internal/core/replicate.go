@@ -19,8 +19,8 @@ import (
 //
 // run must not share mutable state across calls. Everything under
 // internal/sim, internal/netsim, and internal/metrics is safe: schedulers
-// own their event pools, histograms are per-run, and the frame pool is a
-// sync.Pool.
+// own their event pools, histograms are per-run, the frame pools are
+// sync.Pools, and a frame's reference count never leaves its simulation.
 //
 //simlint:allow goroutine: the sanctioned harness — each worker runs whole, single-goroutine replications and writes only its own disjoint results slot; output is independent of worker count
 func RunParallel[T any](seeds []int64, run func(seed int64) T) []T {

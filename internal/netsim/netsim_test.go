@@ -152,15 +152,6 @@ func TestSendOnUnconnectedPortPanics(t *testing.T) {
 	p.Send(&Frame{Data: []byte{1}})
 }
 
-func TestFrameClone(t *testing.T) {
-	f := &Frame{Data: []byte{1, 2, 3}, Origin: 5, ID: 9}
-	c := f.Clone()
-	c.Data[0] = 99
-	if f.Data[0] != 1 || c.Origin != 5 || c.ID != 9 {
-		t.Fatal("clone not deep")
-	}
-}
-
 func TestHostNICFiltering(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	h := NewHost(sched, "srv1")

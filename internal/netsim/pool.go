@@ -11,19 +11,29 @@ import (
 // into a pooled buffer never re-allocates.
 const frameBufCap = 2048
 
-// framePool recycles Frame objects together with their byte buffers, making
-// the per-frame hot path allocation-free. It is a sync.Pool (not a free
-// list) because core.RunParallel runs independent simulations on separate
+// framePool recycles root frames — a Frame header that owns a frameBufCap
+// byte buffer through its Data slice — and clonePool recycles the bare
+// headers Clone hands out, so the per-frame hot path is allocation-free and
+// a unicast frame costs one Get and one Put. They are sync.Pools (not free
+// lists) because core.RunParallel runs independent simulations on separate
 // goroutines that share this package.
-var framePool = sync.Pool{
-	New: func() any {
-		return &Frame{Data: make([]byte, 0, frameBufCap), pooled: true}
-	},
-}
+var (
+	framePool = sync.Pool{
+		New: func() any {
+			f := &Frame{Data: make([]byte, 0, frameBufCap), pooled: true}
+			f.root = f
+			return f
+		},
+	}
+	clonePool = sync.Pool{
+		New: func() any { return &Frame{pooled: true} },
+	}
+)
 
 // NewFrame returns an empty pooled frame. Build the wire bytes by appending
-// to Data (capacity frameBufCap is pre-reserved). Pass ownership along with
-// the frame: whoever terminates it calls Release.
+// to Data (capacity frameBufCap is pre-reserved) before the frame is first
+// sent; after that the bytes are immutable. Pass ownership along with the
+// frame: whoever terminates it calls Release.
 //
 //simlint:allow sharedstate: framePool is a sync.Pool — concurrency-safe by contract, and a recycled buffer carries no observable state between runs
 func NewFrame() *Frame {
@@ -33,7 +43,9 @@ func NewFrame() *Frame {
 	f.ID = 0
 	// f.Trace is already nil: fresh frames start nil and Release clears it
 	// before pooling. Not storing here keeps this path free of GC write
-	// barriers (a nil pointer store still pays one).
+	// barriers (a nil pointer store still pays one). f.root is the frame
+	// itself for life, for the same reason.
+	f.refs = 1
 	f.released = false
 	return f
 }
@@ -45,9 +57,12 @@ func NewFrameBytes(data []byte) *Frame {
 	return f
 }
 
-// Release returns the frame to the pool. It is a no-op for frames not
-// obtained from the pool (hand-built test frames) and for double releases,
-// so terminal points can release unconditionally.
+// Release gives up the holder's reference. A clone's header goes back to
+// its pool at once; a buffer goes back only when its last holder — the root
+// or any clone, in any order — has released, so a released root whose clones
+// are still queued is dead to its holder but not yet reusable. It is a no-op
+// for frames not obtained from a pool (hand-built test frames) and for
+// double releases, so terminal points can release unconditionally.
 //
 // Release only at provably-terminal points: address-filter discards, queue
 // tail-drops, in-flight losses, and consumers that are done with the bytes.
@@ -69,6 +84,18 @@ func (f *Frame) Release() {
 		return
 	}
 	f.released = true
-	//simlint:allow sharedstate: returning to the sync.Pool is concurrency-safe by contract; the frame is dead and carries no state into its next run
-	framePool.Put(f)
+	r := f.root
+	if r != f {
+		// A clone: drop the aliases so an idle header pins no buffer.
+		f.Data, f.root = nil, nil
+		//simlint:allow sharedstate: returning to the sync.Pool is concurrency-safe by contract; the header is dead and carries no state into its next run
+		clonePool.Put(f)
+		if r == nil {
+			return // replica of a hand-built frame: the GC owns the bytes
+		}
+	}
+	if r.refs--; r.refs == 0 {
+		//simlint:allow sharedstate: returning to the sync.Pool is concurrency-safe by contract; the frame is dead and carries no state into its next run
+		framePool.Put(r)
+	}
 }

@@ -23,6 +23,13 @@ const FrameOverheadBytes = 20
 // Origin is the instant the originating application handed it to its NIC,
 // carried along so receivers can measure one-way latency the way the
 // paper's timestamping discussion describes (order-out minus md-in).
+//
+// Data is written only while the frame is being built: once the frame is
+// first sent its bytes are immutable, because replication points share them
+// by reference (see Clone, and DESIGN.md "Frame ownership and
+// immutability"). simlint's framemut analyzer enforces the rule.
+//
+// The struct is one cache line; a clone is nothing more than this header.
 type Frame struct {
 	Data   []byte
 	Origin sim.Time
@@ -34,19 +41,40 @@ type Frame struct {
 	// finishes or hands off the trace; Release closes leftovers.
 	Trace *trace.Ctx
 
-	pooled   bool // came from framePool; Release returns it
+	// root is the pooled frame whose buffer backs Data: the frame itself when
+	// it came from NewFrame, the original when it is a clone, nil when the
+	// garbage collector owns the bytes (hand-built frames and their clones).
+	root *Frame
+	// refs counts the live holders of root's buffer — the root itself plus
+	// its clones, transitively. Meaningful on roots only. It is a plain
+	// integer: a frame and all its clones stay inside one simulation, and a
+	// simulation runs on one goroutine.
+	refs int32
+
+	pooled   bool // came from framePool or clonePool; Release returns it
 	released bool // double-release guard
 }
 
-// Clone returns a deep copy of the frame from the pool. Replication points
-// (multicast fan-out) clone so downstream queues own their bytes. A traced
+// Clone returns a replica that shares f's bytes: a header from the clone
+// pool whose Data aliases f.Data, holding one more reference on the buffer's
+// owner. The cost does not depend on the frame's size. The replica's Data
+// has its capacity clamped to its length, so an append on it reallocates
+// instead of writing into spare capacity its siblings share. A traced
 // frame's clone carries a fork of the trace (nil once the recorder is at
 // capacity — replication is where trace counts could otherwise explode).
+//
+//simlint:allow sharedstate: clonePool is a sync.Pool — concurrency-safe by contract, and a recycled header carries no observable state between runs
 func (f *Frame) Clone() *Frame {
-	c := NewFrame()
-	c.Data = append(c.Data, f.Data...)
+	c := clonePool.Get().(*Frame)
+	n := len(f.Data)
+	c.Data = f.Data[:n:n]
 	c.Origin = f.Origin
 	c.ID = f.ID
+	if r := f.root; r != nil {
+		r.refs++
+		c.root = r
+	}
+	c.released = false
 	if f.Trace != nil {
 		c.Trace = trace.ForkOf(f.Trace)
 	}
