@@ -11,12 +11,19 @@ import (
 	"strings"
 )
 
-// benchBest parses `go test -bench` output and returns the best (highest)
-// events/s per benchmark name, GOMAXPROCS suffix stripped. With -count N
-// each benchmark appears N times; best-of is the honest aggregate on a
-// noisy box (the slow samples measure the machine, not the code).
-func benchBest(r io.Reader) (map[string]float64, error) {
-	best := map[string]float64{}
+// benchSample is one benchmark's best-of over its -count repetitions.
+type benchSample struct {
+	nsPerOp   float64 // minimum: the gated figure
+	eventsSec float64 // maximum events/s, 0 if the benchmark reports none
+}
+
+// benchBest parses `go test -bench` output and returns the best sample per
+// benchmark name, GOMAXPROCS suffix stripped: the minimum ns/op and, where
+// the benchmark reports one, the maximum events/s. With -count N each
+// benchmark appears N times; best-of is the honest aggregate on a noisy box
+// (the slow samples measure the machine, not the code).
+func benchBest(r io.Reader) (map[string]benchSample, error) {
+	best := map[string]benchSample{}
 	procSuffix := regexp.MustCompile(`-\d+$`)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -26,16 +33,22 @@ func benchBest(r io.Reader) (map[string]float64, error) {
 		}
 		name := procSuffix.ReplaceAllString(fields[0], "")
 		for i := 1; i+1 < len(fields); i++ {
-			if fields[i+1] != "events/s" {
+			unit := fields[i+1]
+			if unit != "ns/op" && unit != "events/s" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchmark %s: bad events/s value %q", name, fields[i])
+				return nil, fmt.Errorf("benchmark %s: bad %s value %q", name, unit, fields[i])
 			}
-			if v > best[name] {
-				best[name] = v
+			b := best[name]
+			switch {
+			case unit == "ns/op" && (b.nsPerOp == 0 || v < b.nsPerOp):
+				b.nsPerOp = v
+			case unit == "events/s" && v > b.eventsSec:
+				b.eventsSec = v
 			}
+			best[name] = b
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -44,11 +57,13 @@ func benchBest(r io.Reader) (map[string]float64, error) {
 	return best, nil
 }
 
-// runBench compares two bench outputs on events/s, best-of per benchmark,
-// and fails when head drops more than evThresh below base on any
-// benchmark both sides report.
-func runBench(w io.Writer, basePath, headPath string, evThresh float64) error {
-	parse := func(path string) (map[string]float64, error) {
+// runBench compares two bench outputs on ns/op, best-of per benchmark, and
+// fails when head takes more than timeThresh longer than base on any
+// benchmark both sides report. events/s is printed beside it and not gated:
+// it divides by a count of scheduler events, which a change to what the
+// scheduler fires an event for moves without the run getting any slower.
+func runBench(w io.Writer, basePath, headPath string, timeThresh float64) error {
+	parse := func(path string) (map[string]benchSample, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
@@ -59,7 +74,7 @@ func runBench(w io.Writer, basePath, headPath string, evThresh float64) error {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		if len(m) == 0 {
-			return nil, fmt.Errorf("%s: no benchmarks reporting events/s", path)
+			return nil, fmt.Errorf("%s: no benchmarks reporting ns/op", path)
 		}
 		return m, nil
 	}
@@ -91,18 +106,18 @@ func runBench(w io.Writer, basePath, headPath string, evThresh float64) error {
 	var regressions []string
 	for _, n := range names {
 		b, h := base[n], head[n]
-		bad := h < (1-evThresh)*b
-		delta := fmt.Sprintf("%+.1f%%", 100*(h/b-1))
+		bad := h.nsPerOp > (1+timeThresh)*b.nsPerOp
 		if bad {
-			delta += " !"
 			regressions = append(regressions, fmt.Sprintf(
-				"%s: %.0f -> %.0f events/s (%.1f%%), beyond the %.0f%% gate",
-				n, b, h, 100*h/b, 100*evThresh))
+				"%s: %.0f -> %.0f ns/op (%.1f%%), beyond the %.0f%% gate",
+				n, b.nsPerOp, h.nsPerOp, 100*h.nsPerOp/b.nsPerOp, 100*timeThresh))
 		}
-		rows = append(rows, []string{n, fmt.Sprintf("%.0f", b), fmt.Sprintf("%.0f", h), delta})
+		rows = append(rows, []string{n,
+			fmt.Sprintf("%.0f", b.nsPerOp), fmt.Sprintf("%.0f", h.nsPerOp), ratioCell(b.nsPerOp, h.nsPerOp, bad),
+			rate(b.eventsSec), rate(h.eventsSec)})
 	}
-	fmt.Fprintf(w, "Bench gate: %s (base) vs %s (head), best-of events/s\n", basePath, headPath)
-	fmt.Fprint(w, table([]string{"benchmark", "base ev/s", "head ev/s", "delta"}, rows))
+	fmt.Fprintf(w, "Bench gate: %s (base) vs %s (head), best-of ns/op (events/s shown, not gated)\n", basePath, headPath)
+	fmt.Fprint(w, table([]string{"benchmark", "base ns/op", "head ns/op", "delta", "base ev/s", "head ev/s"}, rows))
 	if len(regressions) > 0 {
 		for _, r := range regressions {
 			fmt.Fprintf(w, "REGRESSION %s\n", r)

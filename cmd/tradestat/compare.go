@@ -11,11 +11,14 @@ import (
 )
 
 // runCompare matches manifests between base and head by run identity and
-// gates head's events/sec and alloc/event against base. Runs present on
-// only one side are listed but don't gate (experiments come and go across
-// PRs); matched runs without host stats or event counts are skipped for
-// the rate and reported as such.
-func runCompare(w io.Writer, baseDir, headDir string, evThresh, gcThresh float64, csvPath string) error {
+// gates head's wall time per run and alloc/event against base. A matched
+// run is the same experiment on the same seed — the same simulated work — so
+// its wall time compares directly; events/sec is shown beside it and not
+// gated, because it moves whenever a revision changes what the scheduler
+// fires an event for. Runs present on only one side are listed but don't
+// gate (experiments come and go across PRs); matched runs without host stats
+// are skipped for the time and reported as such.
+func runCompare(w io.Writer, baseDir, headDir string, timeThresh, gcThresh float64, csvPath string) error {
 	base, err := loadArtifacts(baseDir)
 	if err != nil {
 		return err
@@ -37,22 +40,24 @@ func runCompare(w io.Writer, baseDir, headDir string, evThresh, gcThresh float64
 
 	type row struct {
 		key                  string
+		baseMs, headMs       float64 // wall ms per run
 		baseEv, headEv       float64 // events/sec
 		baseAlloc, headAlloc float64 // alloc bytes/event
-		evBad, gcBad         bool
+		timeBad, gcBad       bool
 	}
 	var rows []row
 	var regressions []string
 	for _, k := range keys {
 		b, h := baseBy[k], headBy[k]
 		r := row{key: k,
+			baseMs: wallMs(b), headMs: wallMs(h),
 			baseEv: b.EventsPerSec(), headEv: h.EventsPerSec(),
 			baseAlloc: b.AllocPerEvent(), headAlloc: h.AllocPerEvent()}
-		if r.baseEv > 0 && r.headEv > 0 && r.headEv < (1-evThresh)*r.baseEv {
-			r.evBad = true
+		if r.baseMs > 0 && r.headMs > (1+timeThresh)*r.baseMs {
+			r.timeBad = true
 			regressions = append(regressions, fmt.Sprintf(
-				"%s: events/sec %.0f -> %.0f (%.1f%%), beyond the %.0f%% gate",
-				k, r.baseEv, r.headEv, 100*r.headEv/r.baseEv, 100*evThresh))
+				"%s: wall %.2f -> %.2f ms (%.1f%%), beyond the %.0f%% gate",
+				k, r.baseMs, r.headMs, 100*r.headMs/r.baseMs, 100*timeThresh))
 		}
 		if r.baseAlloc > 0 && r.headAlloc > 0 && r.headAlloc > (1+gcThresh)*r.baseAlloc {
 			r.gcBad = true
@@ -65,20 +70,21 @@ func runCompare(w io.Writer, baseDir, headDir string, evThresh, gcThresh float64
 
 	render := make([][]string, 0, len(rows))
 	var csv strings.Builder
-	csv.WriteString("run,base_events_per_sec,head_events_per_sec,events_ratio,base_alloc_per_event,head_alloc_per_event,alloc_ratio\n")
+	csv.WriteString("run,base_wall_ms,head_wall_ms,wall_ratio,base_events_per_sec,head_events_per_sec,base_alloc_per_event,head_alloc_per_event,alloc_ratio\n")
 	for _, r := range rows {
 		render = append(render, []string{
 			r.key,
-			rate(r.baseEv), rate(r.headEv), ratioCell(r.baseEv, r.headEv, r.evBad, false),
-			bytesPer(r.baseAlloc), bytesPer(r.headAlloc), ratioCell(r.baseAlloc, r.headAlloc, r.gcBad, true),
+			millis(r.baseMs), millis(r.headMs), ratioCell(r.baseMs, r.headMs, r.timeBad),
+			rate(r.baseEv), rate(r.headEv),
+			bytesPer(r.baseAlloc), bytesPer(r.headAlloc), ratioCell(r.baseAlloc, r.headAlloc, r.gcBad),
 		})
-		fmt.Fprintf(&csv, "%s,%.0f,%.0f,%s,%.2f,%.2f,%s\n",
-			r.key, r.baseEv, r.headEv, csvRatio(r.baseEv, r.headEv),
+		fmt.Fprintf(&csv, "%s,%.3f,%.3f,%s,%.0f,%.0f,%.2f,%.2f,%s\n",
+			r.key, r.baseMs, r.headMs, csvRatio(r.baseMs, r.headMs), r.baseEv, r.headEv,
 			r.baseAlloc, r.headAlloc, csvRatio(r.baseAlloc, r.headAlloc))
 	}
-	fmt.Fprintf(w, "Telemetry comparison: %s (base) vs %s (head), %d matched run(s)\n",
+	fmt.Fprintf(w, "Telemetry comparison: %s (base) vs %s (head), %d matched run(s); events/sec shown, not gated\n",
 		baseDir, headDir, len(rows))
-	fmt.Fprint(w, table([]string{"run", "base ev/s", "head ev/s", "delta", "base B/ev", "head B/ev", "delta"}, render))
+	fmt.Fprint(w, table([]string{"run", "base ms", "head ms", "delta", "base ev/s", "head ev/s", "base B/ev", "head B/ev", "delta"}, render))
 	for _, k := range onlyIn(baseBy, headBy) {
 		fmt.Fprintf(w, "only in base: %s\n", k)
 	}
@@ -130,6 +136,21 @@ func onlyIn(a, b map[string]*manifest.Artifact) []string {
 	return out
 }
 
+// wallMs is a run's host wall time in milliseconds (0 if unknown).
+func wallMs(a *manifest.Artifact) float64 {
+	if a.Host == nil || a.Host.WallNs <= 0 {
+		return 0
+	}
+	return float64(a.Host.WallNs) / 1e6
+}
+
+func millis(v float64) string {
+	if v == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
 func rate(v float64) string {
 	if v == 0 {
 		return "-"
@@ -146,7 +167,7 @@ func bytesPer(v float64) string {
 
 // ratioCell renders head/base; flagged cells carry a marker so the
 // regression is visible in the table, not only in the FAIL lines.
-func ratioCell(base, head float64, bad, moreIsWorse bool) string {
+func ratioCell(base, head float64, bad bool) string {
 	if base == 0 || head == 0 {
 		return "-"
 	}
@@ -154,7 +175,6 @@ func ratioCell(base, head float64, bad, moreIsWorse bool) string {
 	if bad {
 		s += " !"
 	}
-	_ = moreIsWorse
 	return s
 }
 
@@ -165,8 +185,9 @@ func csvRatio(base, head float64) string {
 	return fmt.Sprintf("%.4f", head/base)
 }
 
-// runTrend renders events/sec per run across telemetry directories in
-// argument order — the perf trajectory across revisions.
+// runTrend renders wall time per run across telemetry directories in
+// argument order — the perf trajectory across revisions — with events/sec
+// beside it for reading within one definition of an event.
 func runTrend(w io.Writer, dirs []string, csvPath string) error {
 	cols := make([]map[string]*manifest.Artifact, len(dirs))
 	keySet := map[string]bool{}
@@ -186,25 +207,30 @@ func runTrend(w io.Writer, dirs []string, csvPath string) error {
 	}
 	sort.Strings(keys)
 
-	headers := append([]string{"run"}, dirs...)
+	headers := []string{"run"}
+	csvHead := []string{"run"}
+	for _, d := range dirs {
+		headers = append(headers, d+" ms", "ev/s")
+		csvHead = append(csvHead, d+"_wall_ms", d+"_events_per_sec")
+	}
 	rows := make([][]string, 0, len(keys))
 	var csv strings.Builder
-	csv.WriteString("run," + strings.Join(dirs, ",") + "\n")
+	csv.WriteString(strings.Join(csvHead, ",") + "\n")
 	for _, k := range keys {
 		row := []string{k}
 		csvRow := []string{k}
 		for i := range dirs {
-			v := 0.0
+			ms, ev := 0.0, 0.0
 			if a, ok := cols[i][k]; ok {
-				v = a.EventsPerSec()
+				ms, ev = wallMs(a), a.EventsPerSec()
 			}
-			row = append(row, rate(v))
-			csvRow = append(csvRow, fmt.Sprintf("%.0f", v))
+			row = append(row, millis(ms), rate(ev))
+			csvRow = append(csvRow, fmt.Sprintf("%.3f", ms), fmt.Sprintf("%.0f", ev))
 		}
 		rows = append(rows, row)
 		csv.WriteString(strings.Join(csvRow, ",") + "\n")
 	}
-	fmt.Fprintf(w, "events/sec trend across %d revision(s)\n", len(dirs))
+	fmt.Fprintf(w, "wall ms per run (and events/sec) across %d revision(s)\n", len(dirs))
 	fmt.Fprint(w, table(headers, rows))
 	if csvPath != "" {
 		if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {

@@ -187,8 +187,9 @@ func (s *CommoditySwitch) HardwareGroups() int { return len(s.mroute) }
 // SoftwareGroups returns the number of overflowed groups.
 func (s *CommoditySwitch) SoftwareGroups() int { return len(s.softGroups) }
 
-// sendFrame is the deferred-forward callback shared by every device,
-// scheduled closure-free via AfterArgs.
+// sendFrame is the deferred-forward callback for a single frame to a single
+// port (unicast, the filtering L1S's and the cloud equalizer's per-leg
+// delays), scheduled closure-free via AfterArgs.
 func sendFrame(a, b any) {
 	a.(*netsim.Port).Send(b.(*netsim.Frame))
 }

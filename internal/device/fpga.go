@@ -117,14 +117,7 @@ func (s *FilteringL1Switch) Entries() int { return s.entries }
 // multicast group, then replicate to each circuit egress whose filter
 // admits the frame.
 func (s *FilteringL1Switch) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
-	in := -1
-	for i, p := range s.ports {
-		if p == ingress {
-			in = i
-			break
-		}
-	}
-	outs := s.fanout[in]
+	outs := s.fanout[ingress.Index]
 	if len(outs) == 0 {
 		s.NoRoute++
 		f.Release()

@@ -40,12 +40,17 @@ type L1Switch struct {
 	cfg   L1SwitchConfig
 	ports []*netsim.Port
 
-	// fanout maps an ingress port index to its configured egress set.
-	fanout map[int][]int
-	// merged marks egress ports fed by more than one ingress (or
-	// explicitly configured as merge outputs): traffic to them passes the
-	// merge unit.
-	merged map[int]bool
+	// circuits holds each ingress port's configured egress set, indexed by
+	// port.
+	circuits []l1Circuit
+	// feeders counts, per egress port, the circuit legs pointing at it. An
+	// egress fed by more than one is a merge output: traffic to it passes
+	// the merge unit.
+	feeders []int
+	// gen advances on every Circuit call. A circuit's latency groups depend
+	// on the merge state of its outputs, which another ingress's circuit can
+	// change, so they are rebuilt on the first frame after any change.
+	gen uint64
 
 	// Timestamp, if set, observes every forwarded frame with the hardware
 	// timestamp taken at ingress.
@@ -56,17 +61,41 @@ type L1Switch struct {
 	NoRoute   uint64
 }
 
+// l1Circuit is one ingress port's configuration.
+type l1Circuit struct {
+	outs []int
+	// groups splits outs by latency, in firing order: the plain legs, then
+	// the legs behind a merge unit. Valid while gen matches the switch's.
+	groups []*l1Group
+	gen    uint64
+}
+
+// l1Group is the set of a circuit's legs that share one latency, replicated
+// by one deferred event. It is immutable, so a fan-out already scheduled
+// keeps the legs it had at ingress when the circuit is reconfigured under it.
+type l1Group struct {
+	sw    *L1Switch
+	lat   sim.Duration
+	ports []*netsim.Port
+	// owns marks the circuit's last group to fire: it holds the frame, and
+	// its last leg carries the original. An earlier group clones every leg.
+	owns bool
+}
+
 // NewL1Switch creates an L1 switch with nports ports and no circuits.
 func NewL1Switch(sched *sim.Scheduler, name string, nports int, cfg L1SwitchConfig) *L1Switch {
 	if cfg.FanoutLatency <= 0 {
 		panic("device: L1S fanout latency must be positive")
 	}
+	if cfg.MergeLatency < 0 {
+		panic("device: L1S merge latency must not be negative")
+	}
 	s := &L1Switch{
-		Name:   name,
-		sched:  sched,
-		cfg:    cfg,
-		fanout: make(map[int][]int),
-		merged: make(map[int]bool),
+		Name:     name,
+		sched:    sched,
+		cfg:      cfg,
+		circuits: make([]l1Circuit, nports),
+		feeders:  make([]int, nports),
 	}
 	s.ports = netsim.NewPorts(sched, s, name, nports)
 	for _, p := range s.ports {
@@ -88,69 +117,92 @@ func (s *L1Switch) Config() L1SwitchConfig { return s.cfg }
 // Calling it again for the same ingress replaces the set. Egress ports fed
 // by multiple ingresses become merge outputs automatically.
 func (s *L1Switch) Circuit(in int, outs ...int) {
-	s.fanout[in] = append([]int(nil), outs...)
-	s.recomputeMerges()
-}
-
-func (s *L1Switch) recomputeMerges() {
-	feeders := make(map[int]int)
-	for _, outs := range s.fanout {
-		for _, o := range outs {
-			feeders[o]++
-		}
+	c := &s.circuits[in]
+	for _, o := range c.outs {
+		s.feeders[o]--
 	}
-	s.merged = make(map[int]bool)
-	for o, n := range feeders {
-		if n > 1 {
-			s.merged[o] = true
+	c.outs = append([]int(nil), outs...)
+	for _, o := range outs {
+		s.feeders[o]++
+		if s.feeders[o] == 2 {
 			s.ports[o].SetQueueCapacity(s.cfg.MergeQueueBytes)
 		}
 	}
+	s.gen++
 }
 
 // IsMergeOutput reports whether egress port i passes the merge unit.
-func (s *L1Switch) IsMergeOutput(i int) bool { return s.merged[i] }
+func (s *L1Switch) IsMergeOutput(i int) bool { return s.feeders[i] > 1 }
 
-func (s *L1Switch) portIndex(p *netsim.Port) int {
-	for i, q := range s.ports {
-		if q == p {
-			return i
-		}
+// regroup rebuilds c's latency groups from its egress set and the current
+// merge state of each output. c has at least one leg.
+func (s *L1Switch) regroup(c *l1Circuit) {
+	plain := &l1Group{sw: s, lat: s.cfg.FanoutLatency}
+	merged := plain
+	if s.cfg.MergeLatency > 0 {
+		merged = &l1Group{sw: s, lat: s.cfg.FanoutLatency + s.cfg.MergeLatency}
 	}
-	return -1
+	for _, o := range c.outs {
+		g := plain
+		if s.feeders[o] > 1 {
+			g = merged
+		}
+		g.ports = append(g.ports, s.ports[o])
+	}
+	c.groups = nil
+	if len(plain.ports) > 0 {
+		c.groups = append(c.groups, plain)
+	}
+	if merged != plain && len(merged.ports) > 0 {
+		c.groups = append(c.groups, merged)
+	}
+	c.groups[len(c.groups)-1].owns = true
+	c.gen = s.gen
 }
 
 // HandleFrame implements netsim.Handler: replicate to the circuit's egress
 // set with the configured latencies. The frame is never parsed — an L1S is
 // bit-level — so there is no classification, no filtering, and no FIB.
 func (s *L1Switch) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
-	in := s.portIndex(ingress)
-	outs := s.fanout[in]
-	if len(outs) == 0 {
+	in := ingress.Index
+	c := &s.circuits[in]
+	if len(c.outs) == 0 {
 		s.NoRoute++
 		f.Release()
 		return
 	}
-	now := s.sched.Now()
+	if c.gen != s.gen {
+		s.regroup(c)
+	}
 	if s.Timestamp != nil {
-		s.Timestamp(in, f, now)
+		s.Timestamp(in, f, s.sched.Now())
 	}
 	s.Forwarded++
-	for i, o := range outs {
-		lat := s.cfg.FanoutLatency
-		if s.merged[o] {
-			lat += s.cfg.MergeLatency
-		}
-		// Clone per extra leg; the last leg carries the original frame. The
-		// switching span is per leg (legs differ when a merge unit sits on
-		// some egresses), so it is recorded after the fork.
+	// One event per latency group, not per leg: the legs of a group leave at
+	// one instant with nothing between them, so replicating inside a single
+	// event sends them in the same order at a fraction of the scheduling.
+	for _, g := range c.groups {
+		s.sched.AfterArgs(g.lat, sim.PrioDeliver, l1FanOut, g, f)
+	}
+}
+
+// l1FanOut is the deferred replication callback: latency group, frame. It
+// clones per leg (the owning group's last leg carries the original) and
+// records the switching span per leg after the fork, since legs of different
+// groups spend different times in the switch.
+func l1FanOut(a, b any) {
+	g := a.(*l1Group)
+	f := b.(*netsim.Frame)
+	now := g.sw.sched.Now()
+	last := len(g.ports) - 1
+	for i, out := range g.ports {
 		ff := f
-		if i < len(outs)-1 {
+		if i < last || !g.owns {
 			ff = f.Clone()
 		}
 		if t := ff.Trace; t != nil {
-			t.Record(s.Name, trace.CauseSwitching, now.Add(lat))
+			t.Record(g.sw.Name, trace.CauseSwitching, now)
 		}
-		s.sched.AfterArgs(lat, sim.PrioDeliver, sendFrame, s.ports[o], ff)
+		out.Send(ff)
 	}
 }

@@ -14,8 +14,12 @@ type NIC struct {
 	MAC  pkt.MAC
 	IP   pkt.IP4
 
-	host   *Host
-	groups map[pkt.MAC]bool
+	host *Host
+	// groups is the set of joined multicast MACs, each packed into a uint64
+	// (macKey): the filter runs on every multicast frame the NIC sees, and an
+	// integer key takes the map's fast path where a 6-byte array is hashed
+	// byte-wise.
+	groups map[uint64]bool
 
 	// Promiscuous disables destination filtering (tap/capture NICs).
 	Promiscuous bool
@@ -33,13 +37,19 @@ type NIC struct {
 // Join subscribes the NIC to an IP multicast group (IGMP join in spirit).
 func (n *NIC) Join(group pkt.IP4) {
 	if n.groups == nil {
-		n.groups = make(map[pkt.MAC]bool)
+		n.groups = make(map[uint64]bool)
 	}
-	n.groups[pkt.MulticastMAC(group)] = true
+	n.groups[macKey(pkt.MulticastMAC(group))] = true
 }
 
 // Leave unsubscribes the NIC from a group.
-func (n *NIC) Leave(group pkt.IP4) { delete(n.groups, pkt.MulticastMAC(group)) }
+func (n *NIC) Leave(group pkt.IP4) { delete(n.groups, macKey(pkt.MulticastMAC(group))) }
+
+// macKey packs a MAC into the low 48 bits of a uint64.
+func macKey(m pkt.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
 
 // Subscriptions returns the number of joined groups.
 func (n *NIC) Subscriptions() int { return len(n.groups) }
@@ -55,7 +65,7 @@ func (n *NIC) accepts(dst pkt.MAC) bool {
 		return true
 	}
 	if dst.IsMulticast() {
-		return n.groups[dst]
+		return n.groups[macKey(dst)]
 	}
 	return false
 }

@@ -109,6 +109,40 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestIdlePortSchedulesNoTrailingDrain pins the per-hop event budget: a lone
+// frame costs its drain and its delivery, and nothing for the end of a
+// serialization no frame is waiting for — yet the run still ends there (a
+// cut-through egress delivers before its line frees up), and a frame sent
+// inside the window waits for the line.
+func TestIdlePortSchedulesNoTrailingDrain(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	prop := 25 * sim.Nanosecond
+	a, rx := twoPorts(sched, units.Rate10G, prop)
+	a.CutThrough = true
+	ser := units.SerializationDelay(1024, units.Rate10G)
+
+	a.Send(&Frame{Data: make([]byte, 1000)})
+	if end := sched.Run(); end != sim.Time(ser) {
+		t.Fatalf("run ended at %v, want the end of serialization %v", end, sim.Time(ser))
+	}
+	if sched.Fired() != 2 {
+		t.Fatalf("a lone frame fired %d events, want 2 (drain, deliver)", sched.Fired())
+	}
+
+	// Busy line: the second frame starts when the first one's bits have left.
+	start := sched.Now()
+	a.Send(&Frame{Data: make([]byte, 1000)})
+	sched.At(start.Add(ser/2), func() { a.Send(&Frame{Data: make([]byte, 1000)}) })
+	sched.Run()
+	if want := start.Add(ser + prop); rx.at[2] != want {
+		t.Fatalf("frame sent mid-serialization arrived at %v, want %v", rx.at[2], want)
+	}
+	// drain+deliver for each, and the closure: no idle drain anywhere.
+	if sched.Fired() != 2+5 {
+		t.Fatalf("fired %d events, want 7", sched.Fired())
+	}
+}
+
 func TestTapObservesEgress(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	a, _ := twoPorts(sched, units.Rate10G, 0)
@@ -190,6 +224,56 @@ func TestHostNICFiltering(t *testing.T) {
 	nic.Leave(grp)
 	if nic.Subscriptions() != 0 {
 		t.Fatal("leave failed")
+	}
+}
+
+// TestNICAcceptsFilter pins the destination filter over the packed group
+// set: own unicast, foreign unicast, joined, never-joined and left groups,
+// and group MACs that differ from a joined one in a single byte.
+func TestNICAcceptsFilter(t *testing.T) {
+	h := NewHost(sim.NewScheduler(1), "srv")
+	nic := h.AddNIC("md", 7)
+	g1, g2, g3 := pkt.MulticastGroup(1, 7), pkt.MulticastGroup(1, 8), pkt.MulticastGroup(2, 7)
+	nic.Join(g1)
+	nic.Join(g2)
+	nic.Join(g2) // idempotent
+	nic.Join(g3)
+	nic.Leave(g2)
+	nic.Leave(pkt.MulticastGroup(9, 9)) // never joined: no-op
+	if nic.Subscriptions() != 2 {
+		t.Fatalf("subscriptions = %d, want 2", nic.Subscriptions())
+	}
+	near := pkt.MulticastMAC(g1)
+	near[5] ^= 0x40
+	far := pkt.MulticastMAC(g1)
+	far[3] ^= 0x01
+	cases := []struct {
+		name string
+		dst  pkt.MAC
+		want bool
+	}{
+		{"own unicast", nic.MAC, true},
+		{"foreign unicast", pkt.HostMAC(8), false},
+		{"joined group", pkt.MulticastMAC(g1), true},
+		{"second joined group", pkt.MulticastMAC(g3), true},
+		{"left group", pkt.MulticastMAC(g2), false},
+		{"foreign group", pkt.MulticastMAC(pkt.MulticastGroup(3, 1)), false},
+		{"joined group, last byte off", near, false},
+		{"joined group, middle byte off", far, false},
+		{"broadcast", pkt.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, false},
+	}
+	for _, c := range cases {
+		if got := nic.accepts(c.dst); got != c.want {
+			t.Errorf("%s (%v): accepts = %v, want %v", c.name, c.dst, got, c.want)
+		}
+	}
+	var fresh NIC // no Join yet: a nil set filters every group
+	if fresh.accepts(pkt.MulticastMAC(g1)) {
+		t.Error("NIC with no subscriptions accepted a group frame")
+	}
+	nic.Promiscuous = true
+	if !nic.accepts(pkt.HostMAC(8)) || !nic.accepts(pkt.MulticastMAC(g2)) {
+		t.Error("promiscuous NIC filtered a frame")
 	}
 }
 

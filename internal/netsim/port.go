@@ -108,6 +108,10 @@ type flight struct {
 type Port struct {
 	Name  string
 	Owner Handler
+	// Index is the port's position among its owner's ports as NewPorts
+	// numbered them (0 for a NewPort port), so a device indexes per-port
+	// state by ingress without searching for it.
+	Index int
 
 	peer *Port
 	rate units.Bandwidth
@@ -122,7 +126,18 @@ type Port struct {
 	qlen       int
 	queuedByte int
 	capBytes   int
-	draining   bool
+	// draining means a drain event for this port is pending in the
+	// scheduler. It does not mean the line is busy: a transmit that leaves
+	// the queue empty schedules nothing and parks the end of its
+	// serialization in lineFree instead.
+	draining bool
+	// reserved marks lineFree as live: the line is (or was) serializing the
+	// last frame of a burst, and lineFree is where the drain that ends that
+	// serialization would have stood in the firing order. A Send or
+	// SetUp(true) that arrives before the order passes it schedules the drain
+	// there, so the next frame starts exactly when the line frees up.
+	reserved bool
+	lineFree sim.Reservation
 
 	// down marks the transmit side of the link failed (fault injection).
 	// The zero value is up, so slab-allocated ports start healthy.
@@ -190,6 +205,7 @@ func NewPorts(sched *sim.Scheduler, owner Handler, baseName string, n int) []*Po
 		p := &slab[i]
 		p.Name = baseName + "/p" + strconv.Itoa(i)
 		p.Owner = owner
+		p.Index = i
 		p.sched = sched
 		p.capBytes = DefaultQueueBytes
 		out[i] = p
@@ -301,8 +317,7 @@ func (p *Port) SetUp(up bool) {
 	}
 	p.down = false
 	if p.qlen > 0 && !p.draining {
-		p.draining = true
-		p.sched.AtArgs(p.sched.Now(), sim.PrioDrain, drainPort, p, nil)
+		p.startDrain()
 	}
 }
 
@@ -392,10 +407,38 @@ func (p *Port) Send(f *Frame) bool {
 		p.QueueHighWaterBytes = p.queuedByte
 	}
 	if !p.draining {
-		p.draining = true
-		p.sched.AtArgs(p.sched.Now(), sim.PrioDrain, drainPort, p, nil)
+		p.startDrain()
 	}
 	return true
+}
+
+// startDrain schedules the drain event for a port that has none pending: at
+// the end of the last frame's serialization if the firing order has not yet
+// passed it (the line is still busy), otherwise now.
+func (p *Port) startDrain() {
+	p.draining = true
+	if p.reserved {
+		p.reserved = false
+		if !p.sched.Passed(p.lineFree) {
+			p.sched.AtReserved(p.lineFree, drainPort, p, nil)
+			return
+		}
+	}
+	p.sched.AtArgs(p.sched.Now(), sim.PrioDrain, drainPort, p, nil)
+}
+
+// lineBusyUntil ends a transmit: the next frame may start once this one's
+// bits have left, at t. With frames waiting, that is the next drain event.
+// With none, no event is scheduled — the drain would find nothing to send —
+// and its place in the firing order is reserved for startDrain.
+func (p *Port) lineBusyUntil(t sim.Time) {
+	if p.qlen > 0 {
+		p.sched.AtArgs(t, sim.PrioDrain, drainPort, p, nil)
+		return
+	}
+	p.draining = false
+	p.reserved = true
+	p.lineFree = p.sched.Reserve(t, sim.PrioDrain)
 }
 
 // growQueue doubles the ring, unrolling it into insertion order.
@@ -431,13 +474,13 @@ func deliverFrame(a, b any) {
 // cached method value would cost one closure allocation per port).
 func drainPort(a, _ any) { a.(*Port).drain() }
 
-// drain transmits the head-of-line frame and reschedules itself until the
-// queue empties. One invocation per frame: the scheduler's clock provides
-// the serialization spacing.
+// drain transmits the head-of-line frame and reschedules itself while
+// frames are waiting. One invocation per frame: the scheduler's clock
+// provides the serialization spacing.
 func (p *Port) drain() {
 	if p.qlen == 0 || p.down {
-		// Empty, or the link failed with frames still queued: pause. SetUp
-		// restarts the drain on recovery.
+		// Purged while the drain was pending, or the link failed with frames
+		// still queued: pause. SetUp restarts the drain on recovery.
 		p.draining = false
 		return
 	}
@@ -475,7 +518,7 @@ func (p *Port) drain() {
 			f.Trace = nil
 		}
 		f.Release()
-		p.sched.AtArgs(now.Add(ser), sim.PrioDrain, drainPort, p, nil)
+		p.lineBusyUntil(now.Add(ser))
 		return
 	}
 
@@ -493,6 +536,5 @@ func (p *Port) drain() {
 	}
 	ev := p.sched.AtArgs(now.Add(delay), sim.PrioDeliver, deliverFrame, p.peer, f)
 	p.flyPush(ev, f)
-	// Next frame may start once this one's bits have left.
-	p.sched.AtArgs(now.Add(ser), sim.PrioDrain, drainPort, p, nil)
+	p.lineBusyUntil(now.Add(ser))
 }

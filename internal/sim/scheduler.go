@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -170,6 +171,16 @@ type eventList struct {
 // are fine — that is how core.RunParallel replicates experiments.)
 type Scheduler struct {
 	now Time
+	// posPrio and posSeq complete (now, posPrio, posSeq), the position the
+	// firing order has reached: the key of the event being executed (or last
+	// executed). Before the first event posPrio is math.MinInt — nothing has
+	// fired; once a run has consumed everything up to now it is math.MaxInt.
+	// Passed compares reservations against this position.
+	posPrio int
+	posSeq  uint64
+	// resEnd is the latest instant ever reserved. Run returns no earlier: an
+	// event a reservation stands in for would have advanced the clock there.
+	resEnd Time
 	// cur is the wheel reference time: always ≤ the earliest pending event,
 	// and equal to now between steps. Slot placement is relative to cur.
 	cur     Time
@@ -208,7 +219,7 @@ type Scheduler struct {
 // seeded with seed. All stochastic model components must draw from Rand()
 // so that a run is fully determined by its seed.
 func NewScheduler(seed int64) *Scheduler {
-	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	s := &Scheduler{rng: rand.New(rand.NewSource(seed)), posPrio: math.MinInt}
 	s.wheel[0] = new([wheelSlots]eventList)
 	s.wheel[1] = new([wheelSlots]eventList)
 	return s
@@ -248,6 +259,7 @@ func (s *Scheduler) Reset(seed int64) {
 		s.single = nil
 	}
 	s.now, s.cur = 0, 0
+	s.posPrio, s.posSeq, s.resEnd = math.MinInt, 0, 0
 	s.seq, s.fired, s.pending = 0, 0, 0
 	s.halted = false
 	s.prof = Profile{}
@@ -338,13 +350,75 @@ func (s *Scheduler) AfterArgs3(d Duration, prio int, fn func(a, b, c any), a, b,
 	return s.AtArgs3(s.now.Add(d), prio, fn, a, b, c)
 }
 
+// Reservation is a position in the firing order held without an event: the
+// (time, prio, seq) key an event scheduled at the moment Reserve was called
+// would have carried. A component whose deferred work is usually a no-op
+// (a port's end-of-serialization drain that finds its queue empty) reserves
+// the position instead of scheduling, and schedules at it — AtReserved —
+// only if work turns up before the firing order has passed the position.
+// Either way every event fires exactly where it would have had the no-op
+// been scheduled, at no cost when it would have done nothing. A Reservation
+// is a plain value; letting one lapse needs no call.
+type Reservation struct {
+	at   Time
+	prio int
+	seq  uint64
+}
+
+// Reserve takes the next sequence number for instant t and priority prio,
+// exactly as scheduling an event there would, and returns the position.
+// Reserving in the past panics like scheduling in the past.
+func (s *Scheduler) Reserve(t Time, prio int) Reservation {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: reserving at %v, before now %v", t, s.now))
+	}
+	r := Reservation{at: t, prio: prio, seq: s.seq}
+	s.seq++
+	if t > s.resEnd {
+		s.resEnd = t
+	}
+	return r
+}
+
+// Passed reports whether the firing order has gone past r: an event holding
+// r's position would already have run. Inside a callback the order stands at
+// the executing event's own key; after Run or RunUntil returns it stands
+// past everything at or before Now.
+func (s *Scheduler) Passed(r Reservation) bool {
+	if r.at != s.now {
+		return r.at < s.now
+	}
+	if r.prio != s.posPrio {
+		return r.prio < s.posPrio
+	}
+	return r.seq < s.posSeq
+}
+
+// AtReserved schedules fn(a, b) at the reserved position: the event fires
+// where one scheduled at Reserve time would have. Each reservation may be
+// scheduled at most once, and only while !Passed(r).
+func (s *Scheduler) AtReserved(r Reservation, fn func(a, b any), a, b any) *Event {
+	if s.Passed(r) {
+		panic(fmt.Sprintf("sim: scheduling at a reservation for %v the firing order has passed (now %v)", r.at, s.now))
+	}
+	e := s.enqueue(r.at, r.prio, r.seq)
+	e.fnArg, e.arg1, e.arg2 = fn, a, b
+	return e
+}
+
 func (s *Scheduler) schedule(t Time, prio int) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, s.now))
 	}
-	e := s.alloc()
-	e.at, e.prio, e.seq = t, prio, s.seq
+	e := s.enqueue(t, prio, s.seq)
 	s.seq++
+	return e
+}
+
+// enqueue makes the key (t, prio, seq) pending.
+func (s *Scheduler) enqueue(t Time, prio int, seq uint64) *Event {
+	e := s.alloc()
+	e.at, e.prio, e.seq = t, prio, seq
 	s.pending++
 	if s.pending == 1 {
 		// Queue was empty: hold the event out of the wheel entirely. Timer
@@ -399,8 +473,8 @@ func (s *Scheduler) place(e *Event) {
 	// A level-0 slot spans one tick and may mix nearby instants: keep the
 	// list fully ordered by (time, prio, seq). New schedules carry the
 	// highest seq yet and usually the latest time in the slot, so the
-	// tail-backward scan is O(1) for them; only cascaded-in older events
-	// walk further.
+	// tail-backward scan is O(1) for them; only cascaded-in older events and
+	// events scheduled at a reservation (an older seq) walk further.
 	p := l.tail
 	for p != nil && overflowLess(e, p) {
 		p = p.prev
@@ -698,7 +772,7 @@ func (s *Scheduler) step() bool {
 	if e.at < s.now {
 		panic("sim: event queue time went backwards")
 	}
-	s.now = e.at
+	s.now, s.posPrio, s.posSeq = e.at, e.prio, e.seq
 	s.fired++
 	s.pending--
 	e.fired = true
@@ -720,10 +794,18 @@ func (s *Scheduler) step() bool {
 }
 
 // Run executes events until the queue is empty or Halt is called. It returns
-// the final simulated time.
+// the final simulated time: on a drained queue, the later of the last event
+// and the latest reservation (the stand-in for an event that would have
+// fired there); on Halt, the halting event's instant.
 func (s *Scheduler) Run() Time {
 	s.halted = false
 	for !s.halted && s.step() {
+	}
+	if !s.halted {
+		if s.resEnd > s.now {
+			s.advanceTo(s.resEnd)
+		}
+		s.posPrio = math.MaxInt
 	}
 	return s.now
 }
@@ -742,6 +824,9 @@ func (s *Scheduler) RunUntil(deadline Time) Time {
 	}
 	if s.now < deadline {
 		s.advanceTo(deadline)
+	}
+	if !s.halted {
+		s.posPrio = math.MaxInt
 	}
 	return s.now
 }

@@ -377,6 +377,274 @@ func TestWheelMatchesReferenceHeapDynamic(t *testing.T) {
 	}
 }
 
+// --- Reservations --------------------------------------------------------------
+
+// orderWorld is the surface the reservation property test drives: the wheel
+// with real reservations, and the reference heap where a reservation is
+// simply the event it stands in for.
+type orderWorld interface {
+	now() Time
+	at(t Time, prio int, fn func())
+	// reserve takes a position and returns its two operations: has the firing
+	// order passed it, and run fn there (legal only while not passed).
+	reserve(t Time, prio int) (passed func() bool, materialise func(fn func()))
+	run() Time
+}
+
+type wheelWorld struct{ s *Scheduler }
+
+func (w wheelWorld) now() Time                      { return w.s.Now() }
+func (w wheelWorld) at(t Time, prio int, fn func()) { w.s.AtPrio(t, prio, fn) }
+func (w wheelWorld) run() Time                      { return w.s.Run() }
+func (w wheelWorld) reserve(t Time, prio int) (func() bool, func(func())) {
+	r := w.s.Reserve(t, prio)
+	return func() bool { return w.s.Passed(r) },
+		func(fn func()) { w.s.AtReserved(r, func(_, _ any) { fn() }, nil, nil) }
+}
+
+// heapWorld always holds the real event: it fires at the reserved key whether
+// or not anything was materialised there, and runs whatever was armed.
+type heapWorld struct{ r *refSched }
+
+func (h heapWorld) now() Time                      { return h.r.now }
+func (h heapWorld) at(t Time, prio int, fn func()) { h.r.at(t, prio, fn) }
+func (h heapWorld) run() Time                      { h.r.run(); return h.r.now }
+func (h heapWorld) reserve(t Time, prio int) (func() bool, func(func())) {
+	fired := false
+	var armed func()
+	h.r.at(t, prio, func() {
+		fired = true
+		if armed != nil {
+			armed()
+		}
+	})
+	return func() bool { return fired }, func(fn func()) { armed = fn }
+}
+
+// resEntry is one line of the reservation workload's log: item idx fired at
+// instant at, or was asked about there and answered passed.
+type resEntry struct {
+	at     Time
+	idx    int
+	query  bool
+	passed bool
+}
+
+// reservationWorkload schedules a seeded mix of plain events, reservations
+// left to lapse, reservations a trigger event queries and materialises if it
+// still can, and events that reserve and trigger from inside a callback. All
+// randomness is drawn up front, so both worlds see one script. The log holds
+// every firing, and every Passed answer with the instant it was given.
+func reservationWorkload(w orderWorld, seed int64) (log []resEntry, end Time) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(seed ^ 0x7265737276))
+	instant := func() Time {
+		switch rng.Intn(8) {
+		case 0: // level-0 collisions at tiny instants
+			return Time(rng.Int63n(64))
+		case 1: // straddle the 2^48 ps horizon
+			return Time(int64(250*Second) + rng.Int63n(int64(100*Second)))
+		case 2: // deep overflow
+			return Time(rng.Int63n(int64(4000 * Second)))
+		default:
+			return Time(rng.Int63n(int64(5 * Millisecond)))
+		}
+	}
+	prio := func() int { return rng.Intn(5) - 2 }
+	// offset is how far from a reservation its trigger lands: on the same
+	// instant half the time (prio and seq decide), else a picosecond or
+	// microseconds either side.
+	offset := func() Duration {
+		switch rng.Intn(6) {
+		case 0, 1, 2:
+			return 0
+		case 3:
+			return Duration(rng.Int63n(3) - 1)
+		case 4:
+			return -Duration(rng.Int63n(int64(20 * Microsecond)))
+		default:
+			return Duration(rng.Int63n(int64(20 * Microsecond)))
+		}
+	}
+	// trigger schedules, no earlier than from, the event that queries the
+	// reservation for item i and materialises it if the order allows.
+	trigger := func(i int, t, from Time, p int, passed func() bool, materialise func(func())) {
+		if t < from {
+			t = from
+		}
+		w.at(t, p, func() {
+			gone := passed()
+			log = append(log, resEntry{at: w.now(), idx: i, query: true, passed: gone})
+			if !gone {
+				materialise(func() { log = append(log, resEntry{at: w.now(), idx: i}) })
+			}
+		})
+	}
+	for i := 0; i < n; i++ {
+		i, t, p := i, instant(), prio()
+		switch rng.Intn(4) {
+		case 0: // a plain event
+			w.at(t, p, func() { log = append(log, resEntry{at: w.now(), idx: i}) })
+		case 1: // a reservation nobody comes back to
+			w.reserve(t, p)
+		case 2: // a reservation and a trigger scheduled around it
+			passed, materialise := w.reserve(t, p)
+			trigger(i, t.Add(offset()), 0, prio(), passed, materialise)
+		default: // an event that reserves ahead of itself, as a port's drain does
+			ahead := Duration(rng.Int63n(int64(2 * Microsecond)))
+			if rng.Intn(4) == 0 {
+				ahead = Duration(rng.Int63n(int64(600 * Second)))
+			}
+			p2, p3, off := prio(), prio(), offset()
+			w.at(t, p, func() {
+				log = append(log, resEntry{at: w.now(), idx: i})
+				at := w.now().Add(ahead)
+				passed, materialise := w.reserve(at, p2)
+				trigger(n+i, at.Add(off), w.now(), p3, passed, materialise)
+			})
+		}
+	}
+	return log, w.run()
+}
+
+// TestReservationsMatchReferenceHeap: with a random subset of schedules
+// turned into reservations — materialised, lapsed, or merely queried — the
+// wheel fires the same events at the same instants in the same order as a
+// heap that always holds the real event, answers Passed as "that event has
+// fired", and ends its Run at the same instant.
+func TestReservationsMatchReferenceHeap(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		wl, wEnd := reservationWorkload(wheelWorld{NewScheduler(seed)}, seed)
+		hl, hEnd := reservationWorkload(heapWorld{&refSched{}}, seed)
+		if wEnd != hEnd {
+			t.Fatalf("seed %d: wheel run ended at %v, heap at %v", seed, wEnd, hEnd)
+		}
+		if len(wl) != len(hl) {
+			t.Fatalf("seed %d: wheel logged %d entries, heap %d", seed, len(wl), len(hl))
+		}
+		queries, late := 0, 0
+		for i := range wl {
+			if wl[i] != hl[i] {
+				t.Fatalf("seed %d: logs diverge at entry %d: wheel %+v, heap %+v", seed, i, wl[i], hl[i])
+			}
+			if wl[i].query {
+				queries++
+				if wl[i].passed {
+					late++
+				}
+			}
+		}
+		if queries < 500 || late < queries/10 || late > 9*queries/10 {
+			t.Fatalf("seed %d: script is lopsided: %d of %d queries came too late", seed, late, queries)
+		}
+	}
+}
+
+// TestPassedAtSameInstantBoundaries pins Passed against the executing
+// event's own key, one field at a time.
+func TestPassedAtSameInstantBoundaries(t *testing.T) {
+	s := NewScheduler(1)
+	at := Time(Microsecond)
+	type probe struct {
+		name string
+		r    Reservation
+		want bool
+	}
+	var probes []probe
+	add := func(name string, t Time, prio int, want bool) {
+		probes = append(probes, probe{name, s.Reserve(t, prio), want})
+	}
+	add("earlier instant", at-1, PrioReport, true)
+	add("same instant, lower prio", at, PrioControl, true)
+	add("same instant and prio, lower seq", at, PrioDeliver, true)
+	checked := false
+	s.AtPrio(at, PrioDeliver, func() {
+		for _, p := range probes {
+			if got := s.Passed(p.r); got != p.want {
+				t.Errorf("%s: Passed = %v inside the event, want %v", p.name, got, p.want)
+			}
+		}
+		checked = true
+	})
+	add("same instant and prio, higher seq", at, PrioDeliver, false)
+	add("same instant, higher prio", at, PrioDrain, false)
+	add("later instant", at+1, PrioControl, false)
+	for _, p := range probes {
+		if s.Passed(p.r) {
+			t.Errorf("%s: passed before anything ran", p.name)
+		}
+	}
+	if end := s.RunUntil(at); end != at || !checked {
+		t.Fatalf("RunUntil = %v, checked = %v", end, checked)
+	}
+	// Outside an event, after RunUntil, everything at the deadline is behind.
+	for _, p := range probes {
+		if want := p.r.at <= at; s.Passed(p.r) != want {
+			t.Errorf("%s: Passed = %v after RunUntil(%v), want %v", p.name, !want, at, want)
+		}
+	}
+}
+
+func TestRunEndsAtLatestReservation(t *testing.T) {
+	s := NewScheduler(1)
+	s.At(Time(10*Nanosecond), func() {})
+	r := s.Reserve(Time(50*Nanosecond), PrioDrain)
+	s.Reserve(Time(20*Nanosecond), PrioDrain)
+	if end := s.Run(); end != Time(50*Nanosecond) {
+		t.Fatalf("Run ended at %v, want the latest reservation, 50ns", end)
+	}
+	if !s.Passed(r) {
+		t.Fatal("a drained Run leaves nothing ahead of the firing order")
+	}
+	// A halted run stops at the halting event, reservations still ahead.
+	s.After(Nanosecond, s.Halt)
+	r2 := s.Reserve(s.Now().Add(Microsecond), PrioDrain)
+	if end := s.Run(); end != Time(51*Nanosecond) {
+		t.Fatalf("halted Run ended at %v, want 51ns", end)
+	}
+	if s.Passed(r2) {
+		t.Fatal("halted Run passed a reservation beyond the halting event")
+	}
+	fired := false
+	s.AtReserved(r2, func(_, _ any) { fired = true }, nil, nil)
+	if end := s.Run(); !fired || end != r2.at {
+		t.Fatalf("materialised event: fired = %v, end = %v, want %v", fired, end, r2.at)
+	}
+}
+
+func TestResetClearsReservations(t *testing.T) {
+	s := NewScheduler(1)
+	s.At(Time(Nanosecond), func() {})
+	s.Reserve(Time(Second), PrioDrain)
+	s.Run()
+	s.Reset(1)
+	first := s.Reserve(0, PrioControl)
+	if s.Passed(first) {
+		t.Fatal("after Reset nothing has fired, yet a reservation at time zero reads as passed")
+	}
+	s.Reset(1)
+	if end := s.Run(); end != 0 {
+		t.Fatalf("Run on a reset scheduler ended at %v: a reservation survived Reset", end)
+	}
+}
+
+func TestReserveInThePastPanics(t *testing.T) {
+	s := NewScheduler(1)
+	r := s.Reserve(Time(5*Nanosecond), PrioDrain)
+	s.RunUntil(Time(10 * Nanosecond))
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Reserve before now", func() { s.Reserve(Time(9*Nanosecond), PrioDrain) })
+	mustPanic("AtReserved on a passed reservation", func() { s.AtReserved(r, func(_, _ any) {}, nil, nil) })
+}
+
 // --- AtArgs ------------------------------------------------------------------
 
 func TestAtArgsDeliversArguments(t *testing.T) {
