@@ -48,7 +48,7 @@ type Exchange struct {
 	oeNIC *netsim.NIC
 	mux   *netsim.StreamMux
 
-	books   map[market.SymbolID]*market.Book
+	books   []*market.Book // indexed by SymbolID; nil until first use
 	partMap *mcast.Map
 	packers []*feed.Packer
 	retain  []*feed.RetainBuffer
@@ -145,7 +145,7 @@ func New(sched *sim.Scheduler, u *market.Universe, pmap *mcast.Map, cfg Config) 
 		cfg:        cfg,
 		sched:      sched,
 		u:          u,
-		books:      make(map[market.SymbolID]*market.Book),
+		books:      make([]*market.Book, u.Len()+1),
 		partMap:    pmap,
 		owners:     make(map[market.OrderID]ownerRef),
 		byOwner:    make(map[ownerKey]market.OrderID),
@@ -227,8 +227,11 @@ func (e *Exchange) PartitionMap() *mcast.Map { return e.partMap }
 
 // Book returns (creating if needed) the book for a symbol.
 func (e *Exchange) Book(id market.SymbolID) *market.Book {
-	b, ok := e.books[id]
-	if !ok {
+	for int(id) >= len(e.books) {
+		e.books = append(e.books, nil)
+	}
+	b := e.books[id]
+	if b == nil {
 		b = market.NewBook(id)
 		e.books[id] = b
 	}

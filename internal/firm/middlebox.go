@@ -29,7 +29,7 @@ type Middlebox struct {
 
 	outGroup pkt.IP4
 	packer   *feed.Packer
-	reasm    map[uint8]*feed.Reassembler
+	reasm    unitTable
 	ipID     uint16
 	busy     sim.Time
 	// flushQ holds the origins of flushes scheduled but not yet fired, in
@@ -57,7 +57,6 @@ func NewMiddlebox(sched *sim.Scheduler, name string, hostID uint32,
 		PerMsgCost: perMsg,
 		outGroup:   outGroup,
 		packer:     feed.NewPacker(feed.Internal, 0),
-		reasm:      make(map[uint8]*feed.Reassembler),
 	}
 	mb.host = netsim.NewHost(sched, name)
 	mb.inNIC = mb.host.AddNIC("in", hostID)
@@ -90,10 +89,10 @@ func (mb *Middlebox) onFrame(_ *netsim.NIC, f *netsim.Frame) {
 	if _, err := feed.DecodeUnitHeader(uf.Payload, &h); err != nil {
 		return
 	}
-	r, ok := mb.reasm[h.Unit]
-	if !ok {
+	r := mb.reasm.get(h.Unit)
+	if r == nil {
 		r = feed.NewReassembler(h.Unit)
-		mb.reasm[h.Unit] = r
+		mb.reasm.set(h.Unit, r)
 	}
 	// A single core serves the box: work queues behind earlier work.
 	now := mb.sched.Now()

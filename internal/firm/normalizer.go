@@ -50,7 +50,7 @@ type Normalizer struct {
 	pubNIC *netsim.NIC
 
 	inVariant *feed.Variant
-	reasm     map[uint8]*feed.Reassembler
+	reasm     unitTable
 	outMap    *mcast.Map
 	packers   []*feed.Packer
 	// orderSym tracks order-id → symbol so deletes and executions (which
@@ -89,7 +89,6 @@ func NewNormalizer(sched *sim.Scheduler, u *market.Universe, name string, hostID
 		sched:     sched,
 		u:         u,
 		inVariant: inVariant,
-		reasm:     make(map[uint8]*feed.Reassembler),
 		outMap:    outMap,
 		orderSym:  make(map[uint64]market.SymbolID),
 	}
@@ -106,7 +105,7 @@ func NewNormalizer(sched *sim.Scheduler, u *market.Universe, name string, hostID
 				n.OnGap(gi)
 			}
 		}
-		n.reasm[uint8(i)] = r
+		n.reasm.set(uint8(i), r)
 	}
 	for i := 0; i < outMap.Partitioner().Partitions(); i++ {
 		n.packers = append(n.packers, feed.NewPacker(feed.Internal, uint8(i)))
@@ -153,8 +152,8 @@ func (n *Normalizer) process(f *netsim.Frame) {
 	if _, err := feed.DecodeUnitHeader(uf.Payload, &h); err != nil {
 		return
 	}
-	r, ok := n.reasm[h.Unit]
-	if !ok {
+	r := n.reasm.get(h.Unit)
+	if r == nil {
 		return
 	}
 	touched := map[int]bool{}
@@ -220,7 +219,7 @@ func (n *Normalizer) ConsumeRecovered(m *feed.Msg) {
 func (n *Normalizer) resolveSymbol(m *feed.Msg) market.SymbolID {
 	switch m.Type {
 	case feed.MsgAddOrder, feed.MsgTrade:
-		if id, ok := n.u.Lookup(m.SymbolString()); ok {
+		if id, ok := n.u.LookupWire(m.Symbol); ok {
 			n.orderSym[m.OrderID] = id
 			return id
 		}

@@ -41,7 +41,7 @@ type Quoter struct {
 	oeNIC *netsim.NIC
 
 	book    *market.Book
-	reasm   map[uint8]*feed.Reassembler
+	reasm   unitTable
 	session *orderentry.ClientSession
 
 	bidID, askID   uint64
@@ -71,7 +71,6 @@ func NewQuoter(sched *sim.Scheduler, u *market.Universe, name string, hostID uin
 		sched:      sched,
 		u:          u,
 		book:       market.NewBook(cfg.Symbol),
-		reasm:      make(map[uint8]*feed.Reassembler),
 		ownExchIDs: make(map[uint64]bool),
 	}
 	q.host = netsim.NewHost(sched, name)
@@ -85,7 +84,7 @@ func NewQuoter(sched *sim.Scheduler, u *market.Universe, name string, hostID uin
 	}
 	for _, i := range parts {
 		q.mdNIC.Join(outMap.GroupByIndex(i))
-		q.reasm[uint8(i)] = feed.NewReassembler(uint8(i))
+		q.reasm.set(uint8(i), feed.NewReassembler(uint8(i)))
 	}
 	q.mdNIC.OnFrame = q.onFrame
 	return q
@@ -143,8 +142,8 @@ func (q *Quoter) onFrame(_ *netsim.NIC, f *netsim.Frame) {
 	if _, err := feed.DecodeUnitHeader(uf.Payload, &h); err != nil {
 		return
 	}
-	r, ok := q.reasm[h.Unit]
-	if !ok {
+	r := q.reasm.get(h.Unit)
+	if r == nil {
 		return
 	}
 	r.Consume(uf.Payload, func(m *feed.Msg) {
@@ -162,7 +161,7 @@ func (q *Quoter) apply(m *feed.Msg) {
 	}
 	switch m.Type {
 	case feed.MsgAddOrder:
-		if id, ok := q.u.Lookup(m.SymbolString()); ok && id == q.cfg.Symbol {
+		if id, ok := q.u.LookupWire(m.Symbol); ok && id == q.cfg.Symbol {
 			q.book.Add(market.Order{
 				ID: market.OrderID(m.OrderID), Symbol: id, Side: m.Side,
 				Price: market.Price(m.Price), Qty: market.Qty(m.Qty),

@@ -46,13 +46,12 @@ type Strategy struct {
 	mdNIC *netsim.NIC
 	oeNIC *netsim.NIC
 
-	books map[market.SymbolID]*market.Book
-	reasm map[uint8]*feed.Reassembler
-	// byOrder indexes live orders to the book holding them (exchange order
-	// ids are unique across symbols), so delete/modify/execute messages —
-	// which carry no symbol — resolve in O(1) instead of scanning the books
-	// map, whose iteration order is randomized per run.
-	byOrder map[uint64]*market.Book
+	// orders stores every book's resting orders (exchange order ids are
+	// unique across symbols) and resolves delete/modify/execute messages —
+	// which carry no symbol — to their book.
+	orders *market.Orders
+	books  []*market.Book // indexed by SymbolID; nil until first use
+	reasm  unitTable
 
 	session *orderentry.ClientSession
 	stream  *netsim.Stream
@@ -107,12 +106,11 @@ type Strategy struct {
 func NewStrategy(sched *sim.Scheduler, u *market.Universe, name string, hostID uint32,
 	outMap *mcast.Map, cfg StrategyConfig) *Strategy {
 	s := &Strategy{
-		cfg:     cfg,
-		sched:   sched,
-		u:       u,
-		books:   make(map[market.SymbolID]*market.Book),
-		reasm:   make(map[uint8]*feed.Reassembler),
-		byOrder: make(map[uint64]*market.Book),
+		cfg:    cfg,
+		sched:  sched,
+		u:      u,
+		orders: market.NewOrders(),
+		books:  make([]*market.Book, u.Len()+1),
 	}
 	s.host = netsim.NewHost(sched, name)
 	s.mdNIC = s.host.AddNIC("md", hostID)
@@ -128,7 +126,7 @@ func NewStrategy(sched *sim.Scheduler, u *market.Universe, name string, hostID u
 		s.mdNIC.Join(outMap.GroupByIndex(i))
 		r := feed.NewReassembler(uint8(i))
 		r.OnGap = func(feed.GapInfo) { s.noteGap() }
-		s.reasm[uint8(i)] = r
+		s.reasm.set(uint8(i), r)
 	}
 	s.mdNIC.OnFrame = s.onFrame
 	return s
@@ -160,9 +158,12 @@ func (s *Strategy) ConnectGateway(localPort uint16, gwAddr pkt.UDPAddr) {
 
 // Book returns (creating if needed) the strategy's view of a symbol's book.
 func (s *Strategy) Book(id market.SymbolID) *market.Book {
-	b, ok := s.books[id]
-	if !ok {
-		b = market.NewBook(id)
+	for int(id) >= len(s.books) {
+		s.books = append(s.books, nil)
+	}
+	b := s.books[id]
+	if b == nil {
+		b = s.orders.NewBook(id)
 		s.books[id] = b
 	}
 	return b
@@ -207,8 +208,8 @@ func (s *Strategy) onFrame(_ *netsim.NIC, f *netsim.Frame) {
 	if _, err := feed.DecodeUnitHeader(uf.Payload, &h); err != nil {
 		return
 	}
-	r, ok := s.reasm[h.Unit]
-	if !ok {
+	r := s.reasm.get(h.Unit)
+	if r == nil {
 		return
 	}
 	// Steal the trace: the first decision this frame triggers adopts it; if
@@ -232,51 +233,32 @@ func (s *Strategy) onFrame(_ *netsim.NIC, f *netsim.Frame) {
 func (s *Strategy) apply(m *feed.Msg, origin sim.Time) {
 	var book *market.Book
 	var preBBO market.BBO
+	oid := market.OrderID(m.OrderID)
 	switch m.Type {
 	case feed.MsgAddOrder:
-		if id, ok := s.u.Lookup(m.SymbolString()); ok {
+		if id, ok := s.u.LookupWire(m.Symbol); ok {
 			book = s.Book(id)
 			preBBO = book.BBO()
 			book.Add(market.Order{
-				ID:     market.OrderID(m.OrderID),
+				ID:     oid,
 				Symbol: id,
 				Side:   m.Side,
 				Price:  market.Price(m.Price),
 				Qty:    market.Qty(m.Qty),
 			})
-			s.byOrder[m.OrderID] = book
 		}
 	case feed.MsgDeleteOrder:
-		if b, ok := s.byOrder[m.OrderID]; ok {
-			if b.Cancel(market.OrderID(m.OrderID)) {
-				book = b
-			}
-			delete(s.byOrder, m.OrderID)
+		if book = s.orders.BookOf(oid); book != nil {
+			book.Cancel(oid)
 		}
 	case feed.MsgReduceSize, feed.MsgOrderExecuted:
-		if b, ok := s.byOrder[m.OrderID]; ok {
-			if o, live := b.Lookup(market.OrderID(m.OrderID)); live {
-				rem := o.Qty - market.Qty(m.Qty)
-				if rem < 0 {
-					rem = 0
-				}
-				b.Modify(market.OrderID(m.OrderID), o.Price, rem)
-				book = b
-				if rem == 0 {
-					delete(s.byOrder, m.OrderID)
-				}
-			}
+		if book = s.orders.BookOf(oid); book != nil {
+			o, _ := book.Lookup(oid)
+			book.Modify(oid, o.Price, max(o.Qty-market.Qty(m.Qty), 0))
 		}
 	case feed.MsgModifyOrder:
-		if b, ok := s.byOrder[m.OrderID]; ok {
-			if _, live := b.Lookup(market.OrderID(m.OrderID)); live {
-				b.Modify(market.OrderID(m.OrderID), market.Price(m.Price), market.Qty(m.Qty))
-				book = b
-				if _, still := b.Lookup(market.OrderID(m.OrderID)); !still {
-					// Fully traded on re-entry: drop the index entry.
-					delete(s.byOrder, m.OrderID)
-				}
-			}
+		if book = s.orders.BookOf(oid); book != nil {
+			book.Modify(oid, market.Price(m.Price), market.Qty(m.Qty))
 		}
 	}
 	if book == nil || s.session == nil || !s.session.LoggedOn() {

@@ -1,29 +1,33 @@
 package market
 
-import "sort"
-
-// level is one price level: a FIFO queue of resting orders.
+// level is one price level: its aggregate size and a FIFO queue of resting
+// orders linked through the store's slab by slot index (head is oldest). A
+// resting order does not record its level — an insert or removal elsewhere on
+// the side would move it — it is re-found by binary search on the price.
 type level struct {
-	price  Price
-	orders []*bookOrder // time priority: index 0 is oldest
-	size   Qty          // sum of live order quantities
-}
-
-type bookOrder struct {
-	Order
-	lvl *level
+	price      Price
+	size       Qty // sum of live order quantities
+	head, tail int32
+	n          int32 // orders queued
 }
 
 // Book is a single-symbol limit order book with price-time priority
 // matching — the core of the exchange substrate. It supports the order
 // operations the paper lists for order-entry protocols (§2): enter, cancel,
 // modify price/size; and produces the fills and BBO changes that feed the
-// market-data publisher.
+// market-data publisher. Its orders live in an Orders store, which it may
+// share with the other books of the same id space.
 type Book struct {
 	symbol SymbolID
-	bids   []*level // sorted descending by price (best first)
-	asks   []*level // sorted ascending by price (best first)
-	orders map[OrderID]*bookOrder
+	store  *Orders
+	idx    int32 // this book's index in store.books
+	n      int   // resting orders
+
+	// Each side is sorted worst to best, so the best level is the last
+	// element: trading it away is a truncation, and inserts and removals near
+	// the touch move only the few levels above them.
+	bids []level
+	asks []level
 
 	// OnBBOChange, if set, is invoked after any operation that moved the
 	// best bid or offer (price or size). Figure 2(b) counts exactly these
@@ -32,52 +36,20 @@ type Book struct {
 
 	lastBBO BBO
 
-	// Free lists: resting orders and price levels churn at feed rate
-	// (add/cancel is the dominant message mix), so their storage is
-	// recycled instead of re-allocated.
-	freeOrders []*bookOrder
-	freeLevels []*level
-
 	// fills backs the slice Add returns; see Add.
 	fills []Fill
 }
 
-func (b *Book) allocOrder() *bookOrder {
-	if n := len(b.freeOrders); n > 0 {
-		bo := b.freeOrders[n-1]
-		b.freeOrders = b.freeOrders[:n-1]
-		return bo
-	}
-	return &bookOrder{}
-}
-
-func (b *Book) freeOrder(bo *bookOrder) {
-	bo.lvl = nil
-	b.freeOrders = append(b.freeOrders, bo)
-}
-
-func (b *Book) allocLevel(p Price) *level {
-	if n := len(b.freeLevels); n > 0 {
-		l := b.freeLevels[n-1]
-		b.freeLevels = b.freeLevels[:n-1]
-		l.price, l.size = p, 0
-		return l
-	}
-	return &level{price: p}
-}
-
-// NewBook returns an empty book for symbol.
-func NewBook(symbol SymbolID) *Book {
-	return &Book{symbol: symbol, orders: make(map[OrderID]*bookOrder)}
-}
+// NewBook returns an empty book for symbol with a store of its own.
+func NewBook(symbol SymbolID) *Book { return NewOrders().NewBook(symbol) }
 
 // Symbol returns the book's symbol.
 func (b *Book) Symbol() SymbolID { return b.symbol }
 
 // Orders returns the number of resting orders.
-func (b *Book) Orders() int { return len(b.orders) }
+func (b *Book) Orders() int { return b.n }
 
-func sideLevels(b *Book, s Side) *[]*level {
+func (b *Book) side(s Side) *[]level {
 	if s == Buy {
 		return &b.bids
 	}
@@ -101,66 +73,95 @@ func crosses(s Side, p, q Price) bool {
 	return p <= q
 }
 
-func (b *Book) findLevel(s Side, p Price, create bool) *level {
-	lvls := sideLevels(b, s)
-	i := sort.Search(len(*lvls), func(i int) bool {
-		return !better(s, (*lvls)[i].price, p)
-	})
-	if i < len(*lvls) && (*lvls)[i].price == p {
-		return (*lvls)[i]
-	}
-	if !create {
-		return nil
-	}
-	l := b.allocLevel(p)
-	*lvls = append(*lvls, nil)
-	copy((*lvls)[i+1:], (*lvls)[i:])
-	(*lvls)[i] = l
-	return l
-}
-
-func (b *Book) removeLevelIfEmpty(s Side, l *level) {
-	if l.size > 0 {
-		return
-	}
-	lvls := sideLevels(b, s)
-	for i, cand := range *lvls {
-		if cand == l {
-			copy((*lvls)[i:], (*lvls)[i+1:])
-			(*lvls)[len(*lvls)-1] = nil
-			*lvls = (*lvls)[:len(*lvls)-1]
-			l.orders = l.orders[:0]
-			b.freeLevels = append(b.freeLevels, l)
-			return
+// findLevel returns the index of price p's level on side s, or the index at
+// which it would be inserted.
+func findLevel(lvls []level, s Side, p Price) (i int, found bool) {
+	lo, hi := 0, len(lvls)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if better(s, p, lvls[mid].price) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	return lo, lo < len(lvls) && lvls[lo].price == p
+}
+
+// enqueue rests o, already in the slab at slot, at the tail of its level,
+// creating the level if it is the first order at that price.
+func (b *Book) enqueue(slot int32) {
+	slab := b.store.slab
+	o := &slab[slot]
+	lvls := b.side(o.Side)
+	i, found := findLevel(*lvls, o.Side, o.Price)
+	if !found {
+		*lvls = append(*lvls, level{})
+		copy((*lvls)[i+1:], (*lvls)[i:])
+		(*lvls)[i] = level{price: o.Price}
+	}
+	lvl := &(*lvls)[i]
+	o.prev, o.next, o.book = lvl.tail, 0, b.idx
+	if lvl.tail != 0 {
+		slab[lvl.tail].next = slot
+	} else {
+		lvl.head = slot
+	}
+	lvl.tail = slot
+	lvl.n++
+	lvl.size += o.Qty
+	b.n++
+}
+
+// dequeue unlinks the order at slot from level i of its side, dropping the
+// level if that empties it, and frees the slot. The caller removes the id
+// from the index.
+func (b *Book) dequeue(lvls *[]level, i int, slot int32) {
+	slab := b.store.slab
+	o, lvl := &slab[slot], &(*lvls)[i]
+	if o.prev != 0 {
+		slab[o.prev].next = o.next
+	} else {
+		lvl.head = o.next
+	}
+	if o.next != 0 {
+		slab[o.next].prev = o.prev
+	} else {
+		lvl.tail = o.prev
+	}
+	lvl.n--
+	lvl.size -= o.Qty
+	if lvl.n == 0 {
+		*lvls = append((*lvls)[:i], (*lvls)[i+1:]...)
+	}
+	b.store.release(slot)
+	b.n--
 }
 
 // BBO returns the current best bid and offer.
 func (b *Book) BBO() BBO {
 	var out BBO
-	if len(b.bids) > 0 {
-		out.Bid = Quote{Price: b.bids[0].price, Size: b.bids[0].size}
+	if n := len(b.bids); n > 0 {
+		out.Bid = Quote{Price: b.bids[n-1].price, Size: b.bids[n-1].size}
 	}
-	if len(b.asks) > 0 {
-		out.Ask = Quote{Price: b.asks[0].price, Size: b.asks[0].size}
+	if n := len(b.asks); n > 0 {
+		out.Ask = Quote{Price: b.asks[n-1].price, Size: b.asks[n-1].size}
 	}
 	return out
 }
 
 // Depth returns the number of price levels on side s.
-func (b *Book) Depth(s Side) int { return len(*sideLevels(b, s)) }
+func (b *Book) Depth(s Side) int { return len(*b.side(s)) }
 
-func (b *Book) notifyIfBBOChanged() bool {
+func (b *Book) notifyIfBBOChanged() {
 	now := b.BBO()
 	if now == b.lastBBO {
-		return false
+		return
 	}
 	b.lastBBO = now
 	if b.OnBBOChange != nil {
 		b.OnBBOChange(now)
 	}
-	return true
 }
 
 // Add enters a limit order. If it crosses resting liquidity it matches
@@ -168,69 +169,75 @@ func (b *Book) notifyIfBBOChanged() bool {
 // rests. It returns the fills generated, in execution order. The returned
 // slice is reused by the next call to Add or Modify — callers that need
 // the fills afterwards must copy them.
+//
+// An order whose id is already live is ignored. Ids are per exchange, not
+// per symbol, so that includes an id resting in another book of the same
+// store.
 func (b *Book) Add(o Order) []Fill {
 	if o.Qty <= 0 {
 		return nil
 	}
-	if _, dup := b.orders[o.ID]; dup {
+	s := b.store
+	pos, dup := s.index.find(o.ID)
+	if dup != 0 {
 		return nil
 	}
 	fills := b.fills[:0]
-	opp := sideLevels(b, o.Side.Opposite())
-	for o.Qty > 0 && len(*opp) > 0 && crosses(o.Side, o.Price, (*opp)[0].price) {
-		lvl := (*opp)[0]
-		for o.Qty > 0 && len(lvl.orders) > 0 {
-			rest := lvl.orders[0]
-			qty := o.Qty
-			if rest.Qty < qty {
-				qty = rest.Qty
-			}
-			fills = append(fills, Fill{Resting: rest.ID, Incoming: o.ID, Price: lvl.price, Qty: qty})
+	opp := b.side(o.Side.Opposite())
+	for top := len(*opp) - 1; o.Qty > 0 && top >= 0 && crosses(o.Side, o.Price, (*opp)[top].price); top = len(*opp) - 1 {
+		slot := (*opp)[top].head
+		rest := &s.slab[slot]
+		qty := min(o.Qty, rest.Qty)
+		fills = append(fills, Fill{Resting: rest.ID, Incoming: o.ID, Price: rest.Price, Qty: qty})
+		o.Qty -= qty
+		if rest.Qty > qty {
 			rest.Qty -= qty
-			lvl.size -= qty
-			o.Qty -= qty
-			if rest.Qty == 0 {
-				lvl.orders = lvl.orders[1:]
-				delete(b.orders, rest.ID)
-				b.freeOrder(rest)
-			}
+			(*opp)[top].size -= qty
+			break
 		}
-		b.removeLevelIfEmpty(o.Side.Opposite(), lvl)
+		restPos, _ := s.index.find(rest.ID)
+		s.index.remove(restPos)
+		b.dequeue(opp, top, slot)
 	}
 	if o.Qty > 0 {
-		lvl := b.findLevel(o.Side, o.Price, true)
-		bo := b.allocOrder()
-		bo.Order, bo.lvl = o, lvl
-		lvl.orders = append(lvl.orders, bo)
-		lvl.size += o.Qty
-		b.orders[o.ID] = bo
+		if len(fills) > 0 {
+			// Every fill consumed its resting order (o has quantity left), and
+			// removing those ids may have shifted the cell found for o.ID.
+			pos, _ = s.index.find(o.ID)
+		}
+		slot := s.alloc()
+		s.slab[slot].Order = o
+		b.enqueue(slot)
+		s.index.insert(pos, o.ID, slot)
 	}
 	b.fills = fills
 	b.notifyIfBBOChanged()
 	return fills
 }
 
+// resting returns the index cell and slab slot of order id if it rests in
+// this book; slot 0 means it does not.
+func (b *Book) resting(id OrderID) (pos int, slot int32) {
+	pos, slot = b.store.index.find(id)
+	if slot != 0 && b.store.slab[slot].book != b.idx {
+		slot = 0
+	}
+	return pos, slot
+}
+
 // Cancel removes a resting order. It reports whether the order was live —
 // false models the cancel-vs-fill race in §2: the cancel arrived after the
 // order had already traded.
 func (b *Book) Cancel(id OrderID) bool {
-	bo, ok := b.orders[id]
-	if !ok {
+	pos, slot := b.resting(id)
+	if slot == 0 {
 		return false
 	}
-	lvl := bo.lvl
-	for i, cand := range lvl.orders {
-		if cand == bo {
-			copy(lvl.orders[i:], lvl.orders[i+1:])
-			lvl.orders[len(lvl.orders)-1] = nil
-			lvl.orders = lvl.orders[:len(lvl.orders)-1]
-			break
-		}
-	}
-	lvl.size -= bo.Qty
-	delete(b.orders, id)
-	b.removeLevelIfEmpty(bo.Side, lvl)
-	b.freeOrder(bo)
+	o := &b.store.slab[slot]
+	lvls := b.side(o.Side)
+	i, _ := findLevel(*lvls, o.Side, o.Price)
+	b.store.index.remove(pos)
+	b.dequeue(lvls, i, slot)
 	b.notifyIfBBOChanged()
 	return true
 }
@@ -241,17 +248,20 @@ func (b *Book) Cancel(id OrderID) bool {
 // decrease keeps priority. It returns any fills from re-entry and whether
 // the order was live.
 func (b *Book) Modify(id OrderID, price Price, qty Qty) ([]Fill, bool) {
-	bo, ok := b.orders[id]
-	if !ok {
+	_, slot := b.resting(id)
+	if slot == 0 {
 		return nil, false
 	}
-	if price == bo.Price && qty < bo.Qty && qty > 0 {
-		bo.lvl.size -= bo.Qty - qty
-		bo.Qty = qty
+	o := &b.store.slab[slot]
+	if price == o.Price && qty < o.Qty && qty > 0 {
+		lvls := *b.side(o.Side)
+		i, _ := findLevel(lvls, o.Side, o.Price)
+		lvls[i].size -= o.Qty - qty
+		o.Qty = qty
 		b.notifyIfBBOChanged()
 		return nil, true
 	}
-	sym, side := bo.Symbol, bo.Side
+	sym, side := o.Symbol, o.Side
 	b.Cancel(id)
 	if qty <= 0 {
 		return nil, true
@@ -270,22 +280,22 @@ type Level struct {
 // Levels returns up to n aggregated levels on side s, best first — the
 // depth-of-book view strategies maintain from the feed.
 func (b *Book) Levels(s Side, n int) []Level {
-	lvls := *sideLevels(b, s)
+	lvls := *b.side(s)
 	if n > len(lvls) {
 		n = len(lvls)
 	}
 	out := make([]Level, 0, n)
-	for _, l := range lvls[:n] {
-		out = append(out, Level{Price: l.price, Size: l.size, Orders: len(l.orders)})
+	for i := len(lvls) - 1; len(out) < n; i-- {
+		out = append(out, Level{Price: lvls[i].price, Size: lvls[i].size, Orders: int(lvls[i].n)})
 	}
 	return out
 }
 
 // Lookup returns a copy of a resting order's current state.
 func (b *Book) Lookup(id OrderID) (Order, bool) {
-	bo, ok := b.orders[id]
-	if !ok {
+	_, slot := b.resting(id)
+	if slot == 0 {
 		return Order{}, false
 	}
-	return bo.Order, true
+	return b.store.slab[slot].Order, true
 }

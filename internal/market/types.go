@@ -85,12 +85,29 @@ type Instrument struct {
 // Universe is an interning table of instruments.
 type Universe struct {
 	byTicker map[string]SymbolID
-	list     []Instrument
+	// byWire indexes the tickers a feed message can carry by their packed
+	// wire form, so the per-message lookup neither builds nor hashes a string.
+	byWire map[uint64]SymbolID
+	list   []Instrument
 }
 
 // NewUniverse returns an empty instrument table.
 func NewUniverse() *Universe {
-	return &Universe{byTicker: make(map[string]SymbolID)}
+	return &Universe{byTicker: make(map[string]SymbolID), byWire: make(map[uint64]SymbolID)}
+}
+
+// wireKey packs a 6-byte wire ticker field into an integer, dropping the
+// trailing NUL/space padding exactly as feed.Msg.SymbolString does. n is the
+// unpadded length.
+func wireKey(sym [6]byte) (key uint64, n int) {
+	n = len(sym)
+	for n > 0 && (sym[n-1] == 0 || sym[n-1] == ' ') {
+		n--
+	}
+	for i := 0; i < n; i++ {
+		key |= uint64(sym[i]) << (8 * i)
+	}
+	return key, n
 }
 
 // Add interns an instrument and returns its SymbolID. Adding an existing
@@ -102,12 +119,28 @@ func (u *Universe) Add(ticker string, class InstrumentClass, underlying SymbolID
 	id := SymbolID(len(u.list) + 1)
 	u.list = append(u.list, Instrument{ID: id, Ticker: ticker, Class: class, Underlying: underlying})
 	u.byTicker[ticker] = id
+	// Only a ticker that survives the wire field unchanged (it fits, and does
+	// not itself end in padding) can ever be looked up from a message.
+	var w [6]byte
+	if copy(w[:], ticker) == len(ticker) {
+		if key, n := wireKey(w); n == len(ticker) {
+			u.byWire[key] = id
+		}
+	}
 	return id
 }
 
 // Lookup returns the SymbolID for ticker, if interned.
 func (u *Universe) Lookup(ticker string) (SymbolID, bool) {
 	id, ok := u.byTicker[ticker]
+	return id, ok
+}
+
+// LookupWire returns the SymbolID for a message's fixed-width ticker field:
+// Lookup(m.SymbolString()) without the string.
+func (u *Universe) LookupWire(sym [6]byte) (SymbolID, bool) {
+	key, _ := wireKey(sym)
+	id, ok := u.byWire[key]
 	return id, ok
 }
 
