@@ -1,0 +1,98 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tradenet/internal/core"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/all.seed*.golden from this tree's output")
+
+// Fixed-seed output is the spec: every registered experiment, at small scale
+// with the flag defaults, must print exactly what testdata/all.seed<N>.golden
+// holds — the text of `tradenet -experiment all -seed N` with the budget
+// experiment's two wall-clock ns/msg lines masked. A refactor that moves a
+// byte fails here with the first differing line; a deliberate change to an
+// experiment's output re-records with -update and shows up in review as a
+// diff of the golden files.
+func TestExperimentsMatchGolden(t *testing.T) {
+	for _, seed := range []int64{1, 3, 7} {
+		got := maskWallClock(runAllExperiments(t, seed))
+		path := filepath.Join("testdata", fmt.Sprintf("all.seed%d.golden", seed))
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("seed %d: output differs from %s\n%s", seed, path, firstDiff(string(want), got))
+		}
+	}
+}
+
+// runAllExperiments is `-experiment all -seed seed` with every other flag at
+// its default, stdout captured through a temporary file.
+func runAllExperiments(t *testing.T, seed int64) string {
+	t.Helper()
+	sc := core.SmallScenario()
+	sc.Seed = seed
+	cfg := runCfg{sc: sc, seed: seed, frames: 200_000, bursts: 4, reps: 1}
+
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
+	for _, e := range experiments {
+		fmt.Printf("=== %s ===\n", e.id)
+		e.run(cfg)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// maskWallClock blanks the measured value of every "ns/msg" line (E13 times
+// the real codec on the host; everything else in the output is virtual time).
+func maskWallClock(s string) string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		if strings.Contains(l, "ns/msg") {
+			lines[i] = l[:strings.Index(l, ":")+1] + " <wall clock>"
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// firstDiff renders the first differing line of two texts with three lines
+// of context on either side, and which experiment's block it falls in.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	i, block := 0, ""
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		if strings.HasPrefix(w[i], "=== ") {
+			block = w[i]
+		}
+		i++
+	}
+	window := func(lines []string) string {
+		lo, hi := max(i-3, 0), min(i+4, len(lines))
+		return strings.Join(lines[lo:hi], "\n")
+	}
+	return fmt.Sprintf("first difference at line %d, in %s\n--- want\n%s\n--- got\n%s", i+1, block, window(w), window(g))
+}
