@@ -270,7 +270,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		frames     = flag.Int("frames", 200_000, "frames for table1/overhead")
 		bursts     = flag.Int("bursts", 4, "measurement bursts for design round trips")
-		reps       = flag.Int("replications", 1, "independent seeds per experiment (seed, seed+1, ...), fanned across CPUs; applies to designs and mroute")
+		reps       = flag.Int("replications", 1, "independent seeds (seed, seed+1, ...), fanned across CPUs: designs and mroute merge them, failover, oefailover, wanredundancy and exchangefailover print a row per seed; other experiments ignore it")
 		csvDir     = flag.String("csv", "", "also write Figure 2 data series as CSV into this directory")
 		tracePath  = flag.String("trace", "", "write the attribution experiment's Chrome trace JSON to this file")
 		telDir     = flag.String("telemetry", "", "arm the telemetry plane and write NDJSON run manifests into this directory")

@@ -1,16 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"tradenet/internal/device"
 	"tradenet/internal/exchange"
 	"tradenet/internal/feed"
-	"tradenet/internal/firm"
-	"tradenet/internal/market"
-	"tradenet/internal/mcast"
 	"tradenet/internal/netsim"
-	"tradenet/internal/orderentry"
 	"tradenet/internal/sim"
 	"tradenet/internal/topo"
 )
@@ -19,179 +13,69 @@ import (
 // grouped by function per rack and a dedicated exchange leaf. The loop
 // exchange→normalizer→strategy→gateway→exchange crosses 12 switch hops.
 type Design1 struct {
-	Scenario Scenario
-	Sched    *sim.Scheduler
-	U        *market.Universe
-	LS       *topo.LeafSpine
-	Ex       *exchange.Exchange
-	Norms    []*firm.Normalizer
-	Strats   []*firm.Strategy
-	Gws      []*firm.Gateway
-
-	// ExSessions[i] is the exchange's side of gateway i's order-entry
-	// session — the handle failover experiments use to inspect ownership
-	// and working-order state.
-	ExSessions []*orderentry.ExchangeSession
-
-	RawMap *mcast.Map
-	OutMap *mcast.Map
+	Plant
+	LS *topo.LeafSpine
 
 	// RecReaders parse gap-replay responses, one per normalizer (nil before
 	// WireGapRecovery); their Recovered counters tally replayed messages.
 	RecReaders []*feed.ResponseReader
 	// GapRequests counts replay requests normalizers sent to the exchange.
 	GapRequests uint64
-
-	// WANFeed is the adaptive WAN redundancy mirror (nil unless
-	// Scenario.WANRedundancy).
-	WANFeed *WANFeed
-
-	// HA is the exchange high-availability pair (nil unless
-	// Scenario.ExchangeHA); HA.Backup is the dark standby on the exchange
-	// leaf.
-	HA *HACluster
-
-	// Tel is the telemetry plane (nil unless Scenario.Telemetry).
-	Tel *Telemetry
 }
 
-// hostIDs: the exchange uses 100+, normalizers 1000+, strategies 10000+,
-// gateways 50000+ — disjoint so derived MACs/IPs never collide.
-const (
-	idExchange   = 100
-	idNormalizer = 1000
-	idStrategy   = 10000
-	idGateway    = 50000
-)
+// d1PerRack is how many servers (two NICs each) share a rack.
+const d1PerRack = 32
 
 // NewDesign1 builds the full plant. switchCfg overrides the generation
 // (pass device.DefaultCommodityConfig() for current hardware).
 func NewDesign1(sc Scenario, switchCfg device.CommoditySwitchConfig) *Design1 {
-	d := &Design1{Scenario: sc, Sched: sim.NewScheduler(sc.Seed)}
-	d.U = buildUniverse(sc.Symbols)
-
+	d := &Design1{Plant: newPlant(sc, shape{name: "Design 1 (leaf-spine)"})}
 	// Rack plan: rack 1 normalizers, racks 2..k strategies, rack k+1
 	// gateways ("group servers with common functions by rack", §4.1).
-	perRack := 32
-	stratRacks := (sc.Strategies + perRack - 1) / perRack
 	cfg := topo.DefaultLeafSpineConfig()
 	cfg.Switch = switchCfg
-	cfg.Racks = 2 + stratRacks
-	cfg.HostsPerRack = 2 * perRack // two NICs per server
+	cfg.Racks = 2 + (sc.Strategies+d1PerRack-1)/d1PerRack
+	cfg.HostsPerRack = 2 * d1PerRack
 	d.LS = topo.NewLeafSpine(d.Sched, cfg)
+	d.build(d)
+	return d
+}
 
-	d.RawMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByAlpha, 0), mcast.NewAllocator(1))
-	d.OutMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByHash, sc.InternalPartitions), mcast.NewAllocator(2))
-
-	d.Ex = exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-		ID: 1, Name: "EXCH", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchange,
-	})
+func (d *Design1) place() {
 	d.LS.Attach(0, d.Ex.MDNIC())
 	d.LS.Attach(0, d.Ex.OENIC())
-
-	if sc.ExchangeHA {
-		// The standby lives on the same exchange leaf (an HA pair shares the
-		// facility; the journal rides a dedicated cross-connect, not the
-		// fabric). Its NICs idle until promotion.
-		bak := exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-			ID: 1, Name: "EXCH-B", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchangeBak,
-		})
-		d.LS.Attach(0, bak.MDNIC())
-		d.LS.Attach(0, bak.OENIC())
-		if sc.OEResilience {
-			bak.EnableResilience(oeExchangeResilience())
-		}
-		d.HA = NewHACluster(d.Sched, d.Ex, bak)
-	}
-
-	// Normalizers on rack 1 (leaf index 1).
-	for i := 0; i < sc.Normalizers; i++ {
-		n := firm.NewNormalizer(d.Sched, d.U, fmt.Sprintf("norm%d", i), uint32(idNormalizer+2*i),
-			feed.ExchangeB, d.RawMap, d.OutMap, firm.NormalizerConfig{ProcLatency: sc.FnLatency})
+	for _, n := range d.Norms {
 		d.LS.Attach(1, n.RawNIC())
 		d.LS.Attach(1, n.PubNIC())
 		for _, g := range d.RawMap.Groups() {
 			d.LS.Join(g, n.RawNIC())
 		}
-		d.Norms = append(d.Norms, n)
 	}
-
-	// Gateways on the last rack.
-	gwLeaf := cfg.Racks
-	for i := 0; i < sc.Gateways; i++ {
-		g := firm.NewGateway(d.Sched, fmt.Sprintf("gw%d", i), uint32(idGateway+2*i),
-			firm.GatewayConfig{TranslateLatency: sc.FnLatency})
+	gwLeaf := d.LS.Config().Racks
+	for _, g := range d.Gws {
 		d.LS.Attach(gwLeaf, g.InNIC())
 		d.LS.Attach(gwLeaf, g.ExNIC())
-		d.Gws = append(d.Gws, g)
-	}
-
-	// Strategies fill the middle racks; each subscribes to a slice of the
-	// internal partitions and dials a gateway round-robin.
-	for i := 0; i < sc.Strategies; i++ {
-		subs := subscriptionSlice(i, sc.InternalPartitions)
-		s := firm.NewStrategy(d.Sched, d.U, fmt.Sprintf("strat%d", i), uint32(idStrategy+2*i),
-			d.OutMap, firm.StrategyConfig{DecisionLatency: sc.FnLatency, Subscriptions: subs, PullOnGap: sc.PullOnGap})
-		leaf := 2 + i/perRack
-		d.LS.Attach(leaf, s.MDNIC())
-		d.LS.Attach(leaf, s.OENIC())
-		for _, p := range subs {
-			d.LS.Join(d.OutMap.GroupByIndex(p), s.MDNIC())
-		}
-		d.Strats = append(d.Strats, s)
-	}
-
-	d.wireSessions()
-	if sc.WANRedundancy {
-		d.WANFeed = NewWANFeed(d.Sched, d.Ex, DefaultWANFeedConfig())
-	}
-	d.Tel = newTelemetry(d.Sched, sc.Telemetry)
-	d.Tel.RegisterExchange(d.Ex)
-	d.Tel.RegisterHA(d.HA)
-	return d
-}
-
-// subscriptionSlice gives strategy i a contiguous window of 1/4 of the
-// partitions ("some strategies only analyze a subset of the feed").
-func subscriptionSlice(i, parts int) []int {
-	w := parts / 4
-	if w < 1 {
-		w = 1
-	}
-	var subs []int
-	for j := 0; j < w; j++ {
-		subs = append(subs, (i*w+j)%parts)
-	}
-	return subs
-}
-
-// wireSessions dials every order-entry session: gateways to the exchange,
-// strategies to gateways.
-func (d *Design1) wireSessions() {
-	if d.Scenario.OEResilience {
-		d.Ex.EnableResilience(oeExchangeResilience())
-	}
-	for i, g := range d.Gws {
-		addr := g.ExNIC().Addr(uint16(41000 + i))
-		sess, exPort := d.Ex.AcceptSession(addr)
-		d.ExSessions = append(d.ExSessions, sess)
-		g.ConnectExchange(uint16(41000+i), d.Ex.OENIC().Addr(exPort))
-		if d.Scenario.OEResilience {
-			if d.HA != nil {
-				hardenGatewayHA(g, d.HA, i, addr)
-			} else {
-				hardenGateway(g, d.Ex, sess, addr)
-			}
-		}
 	}
 	for i, s := range d.Strats {
-		g := d.Gws[i%len(d.Gws)]
-		gwPort := g.AcceptStrategy(s.OENIC().Addr(uint16(42000 + i)))
-		s.ConnectGateway(uint16(42000+i), g.InNIC().Addr(gwPort))
-		if d.Scenario.OEResilience {
-			hardenStrategyBehindGateway(s)
+		leaf := 2 + i/d1PerRack
+		d.LS.Attach(leaf, s.MDNIC())
+		d.LS.Attach(leaf, s.OENIC())
+		for _, part := range subscriptionSlice(i, d.Scenario.InternalPartitions) {
+			d.LS.Join(d.OutMap.GroupByIndex(part), s.MDNIC())
 		}
 	}
+}
+
+// attachStandby puts the standby on the exchange leaf: an HA pair shares the
+// facility (the journal rides a dedicated cross-connect, not the fabric), and
+// its NICs idle until promotion.
+func (d *Design1) attachStandby(bak *exchange.Exchange) {
+	d.LS.Attach(0, bak.MDNIC())
+	d.LS.Attach(0, bak.OENIC())
+}
+
+func (d *Design1) loop() (int, sim.Duration) {
+	return 12, 12 * d.LS.Config().Switch.Latency
 }
 
 // WireGapRecovery dials a gap-recovery stream from every normalizer to the
@@ -202,7 +86,6 @@ func (d *Design1) wireSessions() {
 // which is exactly the §2 sequenced-feed recovery contract.
 func (d *Design1) WireGapRecovery() {
 	for i, n := range d.Norms {
-		n := n
 		mux := netsim.NewStreamMux(n.PubNIC())
 		localPort := uint16(46000 + i)
 		exPort := d.Ex.AcceptRecoverySession(n.PubNIC().Addr(localPort))
@@ -216,43 +99,4 @@ func (d *Design1) WireGapRecovery() {
 		}
 		d.RecReaders = append(d.RecReaders, rr)
 	}
-}
-
-// MeasureRoundTrip publishes isolated market-data bursts and measures
-// tick-to-trade at the exchange: order-accepted time minus burst publish
-// time. Bursts are spaced far enough apart that attribution is exact.
-func (d *Design1) MeasureRoundTrip(bursts int) RoundTrip {
-	rt := RoundTrip{
-		Design:        "Design 1 (leaf-spine)",
-		SwitchHops:    12,
-		SoftwareHops:  3,
-		SoftwareTime:  3 * d.Scenario.FnLatency,
-		SwitchLatency: 12 * d.LS.Config().Switch.Latency,
-	}
-	measure(d.Sched, d.Ex, d.Scenario, bursts, &rt, d.Tel)
-	return rt
-}
-
-// measure runs the shared burst-publish / order-capture loop: after a
-// settle-in period (logons), it publishes `bursts` isolated message bursts
-// 2 ms apart and attributes each accepted order to the most recent burst.
-// A non-nil telemetry plane is armed over the whole measurement span; nil
-// costs one compare inside Arm and the schedule is untouched.
-func measure(sched *sim.Scheduler, ex *exchange.Exchange, sc Scenario, bursts int, rt *RoundTrip, tel *Telemetry) {
-	var burstAt sim.Time
-	ex.OnOrderAccepted = func(_ *orderentry.Msg, at sim.Time) {
-		rt.Orders++
-		rt.Samples = append(rt.Samples, at.Sub(burstAt))
-	}
-	start := sim.Time(5 * sim.Millisecond) // let logons drain
-	tel.Arm(0, start.Add(sim.Duration(bursts)*2*sim.Millisecond))
-	for b := 0; b < bursts; b++ {
-		at := start.Add(sim.Duration(b) * 2 * sim.Millisecond)
-		sched.At(at, func() {
-			burstAt = sched.Now()
-			rt.Bursts = append(rt.Bursts, burstAt)
-			ex.PublishBurst(sched.Rand(), sc.BurstMessages/bursts)
-		})
-	}
-	sched.Run()
 }

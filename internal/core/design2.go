@@ -1,16 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"tradenet/internal/device"
 	"tradenet/internal/exchange"
-	"tradenet/internal/feed"
-	"tradenet/internal/firm"
-	"tradenet/internal/market"
-	"tradenet/internal/mcast"
 	"tradenet/internal/netsim"
-	"tradenet/internal/orderentry"
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 	"tradenet/internal/units"
@@ -20,142 +13,72 @@ import (
 // fabric equalizes latency across tenants. Normalization is folded into the
 // cloud-hosted exchange (it publishes the internal format directly), per
 // the cloud-exchange proposals the paper cites; each tenant runs a strategy
-// directly against that feed.
+// directly against that feed and holds its own exchange session.
 type Design2 struct {
-	Scenario Scenario
-	Sched    *sim.Scheduler
-	U        *market.Universe
-	EqMD     *device.CloudEqualizer
-	EqOE     *device.CloudEqualizer
-	Ex       *exchange.Exchange
-	Strats   []*firm.Strategy
-	OutMap   *mcast.Map
-
-	// ExSessions[i] is the exchange's side of tenant i's order-entry
-	// session (see Design1.ExSessions).
-	ExSessions []*orderentry.ExchangeSession
+	Plant
+	EqMD *device.CloudEqualizer
+	EqOE *device.CloudEqualizer
 
 	// arrivals[ipID][tenant] records market-data delivery times for skew
 	// analysis; the zero Time means "not delivered to this tenant" (nothing
 	// arrives at t=0 — every path charges positive latency).
 	arrivals map[uint16][]sim.Time
-
-	// WANFeed is the adaptive WAN redundancy mirror (nil unless
-	// Scenario.WANRedundancy).
-	WANFeed *WANFeed
-
-	// HA is the exchange high-availability pair (nil unless
-	// Scenario.ExchangeHA). Its OnPromote hook swaps both equalizers'
-	// standby ports so tenant traffic re-steers to the promoted venue.
-	HA *HACluster
-
-	// Tel is the telemetry plane (nil unless Scenario.Telemetry).
-	Tel *Telemetry
 }
 
 // NewDesign2 builds the cloud plant with the given per-tenant path
 // latencies (zone placement). equalize toggles the fairness fabric.
 func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
 	d := &Design2{
-		Scenario: sc,
-		Sched:    sim.NewScheduler(sc.Seed),
+		Plant:    newPlant(sc, shape{name: "Design 2 (cloud)", tenants: len(tenantLat)}),
 		arrivals: make(map[uint16][]sim.Time),
 	}
-	d.U = buildUniverse(sc.Symbols)
-	d.OutMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByHash, sc.InternalPartitions), mcast.NewAllocator(2))
-
 	cfg := device.DefaultCloudConfig()
 	cfg.Equalize = equalize
 	d.EqMD = device.NewCloudEqualizer(d.Sched, "cloud-md", tenantLat, cfg)
 	d.EqOE = device.NewCloudEqualizer(d.Sched, "cloud-oe", tenantLat, cfg)
+	d.build(d)
+	return d
+}
 
-	d.Ex = exchange.New(d.Sched, d.U, d.OutMap, exchange.Config{
-		ID: 1, Name: "CLOUD-EXCH", Variant: feed.Internal, MatchLatency: 0, HostID: idExchange,
-	})
+func (d *Design2) place() {
 	netsim.Connect(d.Ex.MDNIC().Port, d.EqMD.ExchangePort(), units.Rate10G, 0)
 	netsim.Connect(d.Ex.OENIC().Port, d.EqOE.ExchangePort(), units.Rate10G, 0)
-
-	if sc.OEResilience {
-		d.Ex.EnableResilience(oeExchangeResilience())
-	}
-	if sc.ExchangeHA {
-		// The standby hangs off provisioned-but-inactive equalizer ports;
-		// promotion swaps them into the exchange slot so tenant unicasts and
-		// feed multicasts re-steer without the tenants re-addressing.
-		bak := exchange.New(d.Sched, d.U, d.OutMap, exchange.Config{
-			ID: 1, Name: "CLOUD-EXCH-B", Variant: feed.Internal, MatchLatency: 0, HostID: idExchangeBak,
-		})
-		netsim.Connect(bak.MDNIC().Port, d.EqMD.AddStandbyPort(), units.Rate10G, 0)
-		netsim.Connect(bak.OENIC().Port, d.EqOE.AddStandbyPort(), units.Rate10G, 0)
-		if sc.OEResilience {
-			bak.EnableResilience(oeExchangeResilience())
-		}
-		d.HA = NewHACluster(d.Sched, d.Ex, bak)
-		d.HA.OnPromote = func() {
-			d.EqMD.PromoteStandby()
-			d.EqOE.PromoteStandby()
-		}
-	}
-	for i := 0; i < len(tenantLat); i++ {
-		// Every tenant takes the full feed: fairness is only observable on
-		// data everyone receives.
-		s := firm.NewStrategy(d.Sched, d.U, fmt.Sprintf("tenant%d", i), uint32(idStrategy+2*i),
-			d.OutMap, firm.StrategyConfig{DecisionLatency: sc.FnLatency})
+	for i, s := range d.Strats {
 		netsim.Connect(s.MDNIC().Port, d.EqMD.TenantPort(i+1), units.Rate10G, 0)
 		netsim.Connect(s.OENIC().Port, d.EqOE.TenantPort(i+1), units.Rate10G, 0)
 
 		// Wrap the MD handler to record per-datagram arrival for skew.
-		tenant := i
 		inner := s.MDNIC().OnFrame
 		s.MDNIC().OnFrame = func(n *netsim.NIC, f *netsim.Frame) {
 			var uf pkt.UDPFrame
 			if err := pkt.ParseUDPFrame(f.Data, &uf); err == nil {
 				m := d.arrivals[uf.IP.ID]
 				if m == nil {
-					m = make([]sim.Time, len(tenantLat))
+					m = make([]sim.Time, len(d.Strats))
 					d.arrivals[uf.IP.ID] = m
 				}
-				m[tenant] = d.Sched.Now()
+				m[i] = d.Sched.Now()
 			}
 			inner(n, f)
 		}
-
-		// Cloud tenants talk straight to the exchange: no gateway tier.
-		addr := s.OENIC().Addr(uint16(42000 + i))
-		sess, exPort := d.Ex.AcceptSession(addr)
-		d.ExSessions = append(d.ExSessions, sess)
-		s.ConnectGateway(uint16(42000+i), d.Ex.OENIC().Addr(exPort))
-		if sc.OEResilience {
-			if d.HA != nil {
-				hardenTenantHA(s, d.HA, i, addr)
-			} else {
-				hardenTenant(s, d.Ex, sess, addr)
-			}
-		}
-		d.Strats = append(d.Strats, s)
 	}
-	if sc.WANRedundancy {
-		d.WANFeed = NewWANFeed(d.Sched, d.Ex, DefaultWANFeedConfig())
-	}
-	d.Tel = newTelemetry(d.Sched, sc.Telemetry)
-	d.Tel.RegisterExchange(d.Ex)
-	d.Tel.RegisterHA(d.HA)
-	return d
 }
 
-// MeasureRoundTrip mirrors the other designs' measurement; the path is
-// exchange → cloud fabric → strategy → cloud fabric → exchange, one
-// software hop.
-func (d *Design2) MeasureRoundTrip(bursts int) RoundTrip {
-	rt := RoundTrip{
-		Design:       "Design 2 (cloud)",
-		SwitchHops:   0,
-		SoftwareHops: 1,
-		SoftwareTime: d.Scenario.FnLatency,
+// attachStandby hangs the standby off provisioned-but-inactive equalizer
+// ports; promotion swaps them into the exchange slot so tenant unicasts and
+// feed multicasts re-steer without the tenants re-addressing.
+func (d *Design2) attachStandby(bak *exchange.Exchange) {
+	netsim.Connect(bak.MDNIC().Port, d.EqMD.AddStandbyPort(), units.Rate10G, 0)
+	netsim.Connect(bak.OENIC().Port, d.EqOE.AddStandbyPort(), units.Rate10G, 0)
+	d.HA.OnPromote = func() {
+		d.EqMD.PromoteStandby()
+		d.EqOE.PromoteStandby()
 	}
-	measure(d.Sched, d.Ex, d.Scenario, bursts, &rt, d.Tel)
-	return rt
 }
+
+// loop: exchange → cloud fabric → strategy → cloud fabric → exchange crosses
+// no switch the tenant can see; the transit is the equalizer's delay.
+func (d *Design2) loop() (int, sim.Duration) { return 0, 0 }
 
 // SkewStats summarizes cross-tenant delivery skew: for every datagram seen
 // by at least two tenants, max arrival minus min arrival.

@@ -1,14 +1,9 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"tradenet/internal/exchange"
-	"tradenet/internal/feed"
-	"tradenet/internal/firm"
-	"tradenet/internal/market"
-	"tradenet/internal/mcast"
-	"tradenet/internal/orderentry"
 	"tradenet/internal/sim"
 	"tradenet/internal/topo"
 )
@@ -18,37 +13,16 @@ import (
 // share a consumer NIC, the merge unit adds 50 ns and introduces the
 // contention the paper warns about.
 type Design3 struct {
-	Scenario Scenario
-	Sched    *sim.Scheduler
-	U        *market.Universe
-	Fabric   *topo.L1Fabric
-	Ex       *exchange.Exchange
-	Norms    []*firm.Normalizer
-	Strats   []*firm.Strategy
-	Gws      []*firm.Gateway
-
-	// ExSessions[i] is the exchange's side of gateway i's order-entry
-	// session (see Design1.ExSessions).
-	ExSessions []*orderentry.ExchangeSession
-
-	RawMap *mcast.Map
-	OutMap *mcast.Map
+	Plant
+	Fabric *topo.L1Fabric
 
 	// NormSubs[i] is the set of normalizer indices strategy i subscribes
 	// to; with one L1S NIC per strategy, |NormSubs[i]| > 1 implies merging.
 	NormSubs [][]int
 
-	// WANFeed is the adaptive WAN redundancy mirror (nil unless
-	// Scenario.WANRedundancy).
-	WANFeed *WANFeed
-
-	// HA is the exchange high-availability pair (nil unless
-	// Scenario.ExchangeHA). The standby's NICs join networks 1 and 4 as
-	// extra circuit endpoints; until promotion they transmit nothing.
-	HA *HACluster
-
-	// Tel is the telemetry plane (nil unless Scenario.Telemetry).
-	Tel *Telemetry
+	maxSubs   int
+	normOuts  []int // normalizer raw-NIC ports on network 1
+	gwExPorts []int // gateway exchange-NIC ports on network 4
 }
 
 // NewDesign3 builds the four-network L1S plant. maxSubs caps the number of
@@ -56,187 +30,109 @@ type Design3 struct {
 // proliferation is to restrict the total number of normalizers each trading
 // strategy can subscribe to"); 0 means all.
 func NewDesign3(sc Scenario, maxSubs int) *Design3 {
-	d := &Design3{Scenario: sc, Sched: sim.NewScheduler(sc.Seed)}
-	d.U = buildUniverse(sc.Symbols)
+	d := &Design3{Plant: newPlant(sc, shape{name: "Design 3 (L1S)", ownPartitions: true}), maxSubs: maxSubs}
 	cfg := topo.DefaultL1FabricConfig()
 	cfg.Ports = 2*sc.Servers() + 16
 	d.Fabric = topo.NewL1Fabric(d.Sched, cfg)
+	d.build(d)
+	return d
+}
 
-	d.RawMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByAlpha, 0), mcast.NewAllocator(1))
-	d.OutMap = mcast.NewMap(mcast.NewPartitioner(d.U, mcast.ByHash, sc.InternalPartitions), mcast.NewAllocator(2))
-
-	d.Ex = exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-		ID: 1, Name: "EXCH", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchange,
-	})
+func (d *Design3) place() {
+	sc, f := d.Scenario, d.Fabric
 
 	// Network 1: exchange → normalizers. Pure fan-out; the L1S replicates
-	// the raw feed to every normalizer's NIC, which filters by group. Each
-	// normalizer owns internal partitions p with p % Normalizers == i, so
-	// the fleet divides the normalization work without duplication.
-	exIn := d.Fabric.AttachSource(d.Fabric.ExToNorm, d.Ex.MDNIC())
-	var normOuts []int
-	for i := 0; i < sc.Normalizers; i++ {
-		i := i
-		n := firm.NewNormalizer(d.Sched, d.U, fmt.Sprintf("norm%d", i), uint32(idNormalizer+2*i),
-			feed.ExchangeB, d.RawMap, d.OutMap, firm.NormalizerConfig{
-				ProcLatency:    sc.FnLatency,
-				PartitionOwned: func(p int) bool { return p%sc.Normalizers == i },
-			})
-		normOuts = append(normOuts, d.Fabric.AttachSink(d.Fabric.ExToNorm, n.RawNIC()))
-		d.Norms = append(d.Norms, n)
+	// the raw feed to every normalizer's NIC, which filters by group.
+	exIn := f.AttachSource(f.ExToNorm, d.Ex.MDNIC())
+	for _, n := range d.Norms {
+		d.normOuts = append(d.normOuts, f.AttachSink(f.ExToNorm, n.RawNIC()))
 	}
-	d.Fabric.Deliver(d.Fabric.ExToNorm, exIn, normOuts...)
+	f.Deliver(f.ExToNorm, exIn, d.normOuts...)
 
 	// Network 2: normalizers → strategies. A strategy's partitions are
 	// owned by several normalizers, but it has one MD NIC: every feed
 	// beyond the first must merge onto that NIC (§4.3's trade). maxSubs
 	// caps the feeds taken; capped-away partitions are simply not received
 	// — the reduced-partitioning cost the paper describes.
-	normIns := make([]int, sc.Normalizers)
+	normIns := make([]int, len(d.Norms))
 	for i, n := range d.Norms {
-		normIns[i] = d.Fabric.AttachSource(d.Fabric.NormToStrat, n.PubNIC())
+		normIns[i] = f.AttachSource(f.NormToStrat, n.PubNIC())
 	}
-	normFanouts := make([][]int, sc.Normalizers)
-	for i := 0; i < sc.Strategies; i++ {
-		subs := subscriptionSlice(i, sc.InternalPartitions)
-		s := firm.NewStrategy(d.Sched, d.U, fmt.Sprintf("strat%d", i), uint32(idStrategy+2*i),
-			d.OutMap, firm.StrategyConfig{DecisionLatency: sc.FnLatency, Subscriptions: subs})
-		out := d.Fabric.AttachSink(d.Fabric.NormToStrat, s.MDNIC())
+	normFanouts := make([][]int, len(d.Norms))
+	for i, s := range d.Strats {
+		out := f.AttachSink(f.NormToStrat, s.MDNIC())
 		var owners []int
-		seen := map[int]bool{}
-		for _, p := range subs {
-			o := p % sc.Normalizers
-			if !seen[o] {
-				seen[o] = true
+		for _, part := range subscriptionSlice(i, sc.InternalPartitions) {
+			if o := part % len(d.Norms); !slices.Contains(owners, o) {
 				owners = append(owners, o)
 			}
 		}
-		if maxSubs > 0 && len(owners) > maxSubs {
-			owners = owners[:maxSubs]
+		if d.maxSubs > 0 && len(owners) > d.maxSubs {
+			owners = owners[:d.maxSubs]
 		}
 		for _, o := range owners {
 			normFanouts[o] = append(normFanouts[o], out)
 		}
 		d.NormSubs = append(d.NormSubs, owners)
-		d.Strats = append(d.Strats, s)
 	}
 	for i, outs := range normFanouts {
 		if len(outs) > 0 {
-			d.Fabric.Deliver(d.Fabric.NormToStrat, normIns[i], outs...)
+			f.Deliver(f.NormToStrat, normIns[i], outs...)
 		}
 	}
 
 	// Network 3: strategies → gateways (merge many strategies onto each
 	// gateway NIC) and the reverse circuits for responses.
-	gwIns := make([]int, sc.Gateways)
-	gwInPorts := make([]int, sc.Gateways)
-	for i := 0; i < sc.Gateways; i++ {
-		g := firm.NewGateway(d.Sched, fmt.Sprintf("gw%d", i), uint32(idGateway+2*i),
-			firm.GatewayConfig{TranslateLatency: sc.FnLatency})
-		d.Gws = append(d.Gws, g)
-		gwInPorts[i] = d.Fabric.AttachSink(d.Fabric.StratToGw, g.InNIC())
-		gwIns[i] = gwInPorts[i]
+	gwInPorts := make([]int, len(d.Gws))
+	for i, g := range d.Gws {
+		gwInPorts[i] = f.AttachSink(f.StratToGw, g.InNIC())
 	}
 	for i, s := range d.Strats {
-		in := d.Fabric.AttachSource(d.Fabric.StratToGw, s.OENIC())
-		gw := i % sc.Gateways
-		d.Fabric.Deliver(d.Fabric.StratToGw, in, gwInPorts[gw])
+		in := f.AttachSource(f.StratToGw, s.OENIC())
+		gw := gwInPorts[i%len(d.Gws)]
+		f.Deliver(f.StratToGw, in, gw)
 		// Reverse: gateway responses fan out to its strategies' NICs, which
 		// filter by MAC (an L1S cannot address individual consumers).
-		prev := d.Fabric.Circuits(d.Fabric.StratToGw)[gwInPorts[gw]]
-		d.Fabric.Deliver(d.Fabric.StratToGw, gwInPorts[gw], append(prev, in)...)
+		f.Deliver(f.StratToGw, gw, append(f.Circuits(f.StratToGw)[gw], in)...)
 	}
 
 	// Network 4: gateways → exchange, and responses back.
-	exOE := d.Fabric.AttachSink(d.Fabric.GwToEx, d.Ex.OENIC())
-	var gwExPorts []int
+	exOE := f.AttachSink(f.GwToEx, d.Ex.OENIC())
 	for _, g := range d.Gws {
-		in := d.Fabric.AttachSource(d.Fabric.GwToEx, g.ExNIC())
-		gwExPorts = append(gwExPorts, in)
-		d.Fabric.Deliver(d.Fabric.GwToEx, in, exOE)
+		in := f.AttachSource(f.GwToEx, g.ExNIC())
+		d.gwExPorts = append(d.gwExPorts, in)
+		f.Deliver(f.GwToEx, in, exOE)
 	}
-	d.Fabric.Deliver(d.Fabric.GwToEx, exOE, gwExPorts...)
-
-	if sc.ExchangeHA {
-		// The standby joins the feed and order networks as a second set of
-		// circuit endpoints. Its MD source shares the normalizers' sink NICs
-		// (which therefore become merge outputs — the §4.3 contention cost of
-		// a second source), and each gateway's order circuit also reaches the
-		// standby's OE NIC, which filters by MAC until clients re-home to it.
-		bak := exchange.New(d.Sched, d.U, d.RawMap, exchange.Config{
-			ID: 1, Name: "EXCH-B", Variant: feed.ExchangeB, MatchLatency: 0, HostID: idExchangeBak,
-		})
-		bakIn := d.Fabric.AttachSource(d.Fabric.ExToNorm, bak.MDNIC())
-		d.Fabric.Deliver(d.Fabric.ExToNorm, bakIn, normOuts...)
-		bakOE := d.Fabric.AttachSink(d.Fabric.GwToEx, bak.OENIC())
-		for _, in := range gwExPorts {
-			prev := d.Fabric.Circuits(d.Fabric.GwToEx)[in]
-			d.Fabric.Deliver(d.Fabric.GwToEx, in, append(prev, bakOE)...)
-		}
-		d.Fabric.Deliver(d.Fabric.GwToEx, bakOE, gwExPorts...)
-		if sc.OEResilience {
-			bak.EnableResilience(oeExchangeResilience())
-		}
-		d.HA = NewHACluster(d.Sched, d.Ex, bak)
-	}
-
-	d.wireSessions()
-	if sc.WANRedundancy {
-		d.WANFeed = NewWANFeed(d.Sched, d.Ex, DefaultWANFeedConfig())
-	}
-	d.Tel = newTelemetry(d.Sched, sc.Telemetry)
-	d.Tel.RegisterExchange(d.Ex)
-	d.Tel.RegisterHA(d.HA)
-	return d
+	f.Deliver(f.GwToEx, exOE, d.gwExPorts...)
 }
 
-func (d *Design3) wireSessions() {
-	if d.Scenario.OEResilience {
-		d.Ex.EnableResilience(oeExchangeResilience())
+// attachStandby joins the standby to the feed and order networks as a second
+// set of circuit endpoints. Its MD source shares the normalizers' sink NICs
+// (which therefore become merge outputs — the §4.3 contention cost of a
+// second source), and each gateway's order circuit also reaches the standby's
+// OE NIC, which filters by MAC until clients re-home to it.
+func (d *Design3) attachStandby(bak *exchange.Exchange) {
+	f := d.Fabric
+	bakIn := f.AttachSource(f.ExToNorm, bak.MDNIC())
+	f.Deliver(f.ExToNorm, bakIn, d.normOuts...)
+	bakOE := f.AttachSink(f.GwToEx, bak.OENIC())
+	for _, in := range d.gwExPorts {
+		f.Deliver(f.GwToEx, in, append(f.Circuits(f.GwToEx)[in], bakOE)...)
 	}
-	for i, g := range d.Gws {
-		addr := g.ExNIC().Addr(uint16(41000 + i))
-		sess, exPort := d.Ex.AcceptSession(addr)
-		d.ExSessions = append(d.ExSessions, sess)
-		g.ConnectExchange(uint16(41000+i), d.Ex.OENIC().Addr(exPort))
-		if d.Scenario.OEResilience {
-			if d.HA != nil {
-				hardenGatewayHA(g, d.HA, i, addr)
-			} else {
-				hardenGateway(g, d.Ex, sess, addr)
-			}
-		}
-	}
-	for i, s := range d.Strats {
-		g := d.Gws[i%len(d.Gws)]
-		gwPort := g.AcceptStrategy(s.OENIC().Addr(uint16(42000 + i)))
-		s.ConnectGateway(uint16(42000+i), g.InNIC().Addr(gwPort))
-		if d.Scenario.OEResilience {
-			hardenStrategyBehindGateway(s)
-		}
-	}
+	f.Deliver(f.GwToEx, bakOE, d.gwExPorts...)
 }
 
-// MeasureRoundTrip mirrors Design1's measurement over the L1S fabric. The
-// loop crosses 4 L1S hops (5 ns each, plus 50 ns at each merge stage).
-func (d *Design3) MeasureRoundTrip(bursts int) RoundTrip {
+// loop: 4 L1S hops of FanoutLatency each, plus MergeLatency at every merge
+// stage. The order-side legs (strategy→gateway, gateway→exchange) always pass
+// merge units; the feed legs are pure fan-out unless strategies merge
+// normalizer feeds.
+func (d *Design3) loop() (int, sim.Duration) {
 	cfg := d.Fabric.Config().Switch
-	// The order-side legs (strategy→gateway, gateway→exchange) always pass
-	// merge units; the feed legs are pure fan-out unless strategies merge
-	// normalizer feeds.
 	merges := 2
 	if len(d.NormSubs) > 0 && len(d.NormSubs[0]) > 1 {
 		merges++
 	}
-	rt := RoundTrip{
-		Design:        "Design 3 (L1S)",
-		SwitchHops:    4,
-		SoftwareHops:  3,
-		SoftwareTime:  3 * d.Scenario.FnLatency,
-		SwitchLatency: 4*cfg.FanoutLatency + sim.Duration(merges)*cfg.MergeLatency,
-	}
-	measure(d.Sched, d.Ex, d.Scenario, bursts, &rt, d.Tel)
-	return rt
+	return 4, 4*cfg.FanoutLatency + sim.Duration(merges)*cfg.MergeLatency
 }
 
 // MergePorts reports how many merge outputs each of the four networks has.

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/metrics"
 	"tradenet/internal/sim"
 	"tradenet/internal/trace"
@@ -69,45 +67,22 @@ type AttributionResult struct {
 // histograms).
 func RunAttribution(sc Scenario, bursts int) AttributionResult {
 	var out AttributionResult
-
-	d1 := NewDesign1(sc, device.DefaultCommodityConfig())
-	out.Designs = append(out.Designs, measureAttribution(
-		d1.Sched, d1.Ex, sc, bursts,
-		func(rt *RoundTrip) { *rt = d1.MeasureRoundTrip(bursts) },
-		func(reg *metrics.Registry) {
-			reg.RegisterInt("fabric.blackholed", func() int64 { return int64(d1.LS.FabricStats().Blackholed) })
-			reg.RegisterInt("fabric.lost", func() int64 { return int64(d1.LS.FabricStats().Lost) })
-			reg.RegisterInt("fabric.purged", func() int64 { return int64(d1.LS.FabricStats().Purged) })
-			reg.RegisterInt("fabric.drops", func() int64 { return int64(d1.LS.FabricStats().Drops) })
-		}))
-
-	d3 := NewDesign3(sc, 0)
-	out.Designs = append(out.Designs, measureAttribution(
-		d3.Sched, d3.Ex, sc, bursts,
-		func(rt *RoundTrip) { *rt = d3.MeasureRoundTrip(bursts) },
-		nil))
-
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d2 := NewDesign2(sc, lats, true)
-	out.Designs = append(out.Designs, measureAttribution(
-		d2.Sched, d2.Ex, sc, bursts,
-		func(rt *RoundTrip) { *rt = d2.MeasureRoundTrip(bursts) },
-		nil))
-
+	build := StandardDesigns(sc)
+	for _, n := range []int{1, 3, 2} {
+		out.Designs = append(out.Designs, measureAttribution(build[n-1](), bursts))
+	}
 	return out
 }
 
-// measureAttribution arms one design's exchange with a recorder, runs its
+// measureAttribution arms one plant's exchange with a recorder, runs its
 // round-trip measurement, and folds the finished traces into an attribution
 // row plus a registry dump.
-func measureAttribution(sched *sim.Scheduler, ex *exchange.Exchange, sc Scenario, bursts int,
-	run func(*RoundTrip), extraMetrics func(*metrics.Registry)) DesignAttribution {
-
+func measureAttribution(p *Plant, bursts int) DesignAttribution {
+	sched, ex := p.Sched, p.Ex
 	rec := trace.NewRecorder(attributionEvery, attributionCap)
 	ex.EnableTracing(rec)
 
-	var rt RoundTrip
-	run(&rt)
+	rt := p.MeasureRoundTrip(bursts)
 
 	var a DesignAttribution
 	a.Design = rt.Design
@@ -119,8 +94,11 @@ func measureAttribution(sched *sim.Scheduler, ex *exchange.Exchange, sc Scenario
 	registerScheduler(reg, sched)
 	reg.RegisterUint("exch.published.datagrams", &ex.Published)
 	reg.RegisterUint("exch.published.msgs", &ex.PublishedMsgs)
-	if extraMetrics != nil {
-		extraMetrics(reg)
+	if d1, ok := p.fab.(*Design1); ok { // the one fabric with a control plane keeps fabric-wide loss counters
+		reg.RegisterInt("fabric.blackholed", func() int64 { return int64(d1.LS.FabricStats().Blackholed) })
+		reg.RegisterInt("fabric.lost", func() int64 { return int64(d1.LS.FabricStats().Lost) })
+		reg.RegisterInt("fabric.purged", func() int64 { return int64(d1.LS.FabricStats().Purged) })
+		reg.RegisterInt("fabric.drops", func() int64 { return int64(d1.LS.FabricStats().Drops) })
 	}
 	e2e := reg.Histogram("latency.tick_to_trade")
 	for _, s := range rt.Samples {

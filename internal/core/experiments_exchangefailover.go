@@ -2,12 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"tradenet/internal/device"
 	"tradenet/internal/exchange"
 	"tradenet/internal/fault"
-	"tradenet/internal/firm"
 	"tradenet/internal/market"
 	"tradenet/internal/metrics"
 	"tradenet/internal/orderentry"
@@ -73,54 +72,6 @@ const (
 	ehaRetry     = 1 * sim.Millisecond // client-app resubmit interval on fast failure
 )
 
-// ehaPlant is one design reduced to what the venue-kill run needs.
-type ehaPlant struct {
-	name    string
-	sched   *sim.Scheduler
-	u       *market.Universe
-	ha      *HACluster
-	clients []*orderentry.ClientSession
-	gws     []*firm.Gateway // nil in the cloud design
-	norms   []*firm.Normalizer
-	strats  []*firm.Strategy
-}
-
-func ehaPlantDesign1(sc Scenario) ehaPlant {
-	d := NewDesign1(sc, device.DefaultCommodityConfig())
-	p := ehaPlant{
-		name: "Design 1 (leaf-spine)", sched: d.Sched, u: d.U, ha: d.HA,
-		gws: d.Gws, norms: d.Norms, strats: d.Strats,
-	}
-	for _, g := range d.Gws {
-		p.clients = append(p.clients, g.ExchangeSession())
-	}
-	return p
-}
-
-func ehaPlantDesign2(sc Scenario) ehaPlant {
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d := NewDesign2(sc, lats, true)
-	p := ehaPlant{
-		name: "Design 2 (cloud)", sched: d.Sched, u: d.U, ha: d.HA, strats: d.Strats,
-	}
-	for _, s := range d.Strats {
-		p.clients = append(p.clients, s.Session())
-	}
-	return p
-}
-
-func ehaPlantDesign3(sc Scenario) ehaPlant {
-	d := NewDesign3(sc, 0)
-	p := ehaPlant{
-		name: "Design 3 (L1S)", sched: d.Sched, u: d.U, ha: d.HA,
-		gws: d.Gws, norms: d.Norms, strats: d.Strats,
-	}
-	for _, g := range d.Gws {
-		p.clients = append(p.clients, g.ExchangeSession())
-	}
-	return p
-}
-
 // EHADesignRun is one design's venue-kill run plus its paired control.
 type EHADesignRun struct {
 	Design string
@@ -152,16 +103,11 @@ type EHADesignRun struct {
 	ExecsControl    uint64 // must equal ExecsFailover
 	ViewMismatch    int
 	Orphans         int
-	Overfills       uint64
-	Unknowns        uint64
 	CODCancels      uint64
 	FeedGaps        uint64
 
-	// Recovery machinery volume.
-	Reconnects     uint64
-	Resubmits      uint64
-	DupSuppressed  uint64
-	Replayed       uint64
+	// Recovery machinery volume (Overfills and Unknowns must be 0).
+	RecoveryCounters
 	RetriedSubmits uint64 // client-app retries of fast-failed submissions
 	OrdersPrimary  uint64 // accepted by the primary before the crash
 	OrdersBackup   uint64 // accepted by the standby after promotion
@@ -268,9 +214,9 @@ func ehaBookDigest(ex *exchange.Exchange, u *market.Universe) string {
 // it crashes the primary and fills the recovery-side fields of res; the
 // control pass fills only the control fields. Returns the end-of-run book
 // digest of whichever venue is live.
-func runEHAPlant(p ehaPlant, failover bool, res *EHADesignRun) string {
-	sched := p.sched
-	p.ha.Start()
+func runEHAPlant(p *Plant, failover bool, res *EHADesignRun) string {
+	sched, clients := p.Sched, p.Clients()
+	p.HA.Start()
 
 	start := sim.Time(5 * sim.Millisecond) // logons drain first
 	crashAt := start.Add(ehaCrashLag)
@@ -281,7 +227,7 @@ func runEHAPlant(p ehaPlant, failover bool, res *EHADesignRun) string {
 	// identical in faulted and control runs, only arrival order differs.
 	var submit func(o ehaOrder)
 	submit = func(o ehaOrder) {
-		cs := p.clients[o.client]
+		cs := clients[o.client]
 		if err := cs.NewOrder(o.id, o.sym, o.side, o.price, o.qty); err != nil {
 			if failover {
 				res.RetriedSubmits++
@@ -289,28 +235,28 @@ func runEHAPlant(p ehaPlant, failover bool, res *EHADesignRun) string {
 			sched.At(sched.Now().Add(ehaRetry), func() { submit(o) })
 		}
 	}
-	for _, o := range ehaScript(p.u, len(p.clients), start, crashAt) {
+	for _, o := range ehaScript(p.U, len(clients), start, crashAt) {
 		o := o
 		sched.At(o.at, func() { submit(o) })
 	}
 
-	pri, bak := p.ha.Primary, p.ha.Backup
+	pri, bak := p.HA.Primary, p.HA.Backup
 	var ordersPrimary uint64
 	pri.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { ordersPrimary++ }
 
 	if failover {
 		plan := fault.NewPlan(sched)
-		plan.ProcessFail(p.ha, crashAt)
+		plan.ProcessFail(p.HA, crashAt)
 
 		var appliedAtCrash, execsAtPromote uint64
 		sched.AtPrio(crashAt, sim.PrioReport, func() {
-			appliedAtCrash = p.ha.Follower.Applied
-			for _, ins := range p.u.All() {
+			appliedAtCrash = p.HA.Follower.Applied
+			for _, ins := range p.U.All() {
 				res.RestingAtCrash += pri.Book(ins.ID).Orders()
 			}
 		})
-		prevPromote := p.ha.OnPromote
-		p.ha.OnPromote = func() {
+		prevPromote := p.HA.OnPromote
+		p.HA.OnPromote = func() {
 			if prevPromote != nil {
 				prevPromote()
 			}
@@ -329,7 +275,7 @@ func runEHAPlant(p ehaPlant, failover bool, res *EHADesignRun) string {
 		// hook fires before matching, so the execution check runs at
 		// report priority of the same instant, after fills are counted.
 		bak.OnOrderAccepted = func(_ *orderentry.Msg, at sim.Time) {
-			if !p.ha.Promoted() {
+			if !p.HA.Promoted() {
 				return
 			}
 			res.OrdersBackup++
@@ -347,20 +293,20 @@ func runEHAPlant(p ehaPlant, failover bool, res *EHADesignRun) string {
 
 		sched.RunUntil(end)
 
-		res.Promoted = p.ha.Promoted()
+		res.Promoted = p.HA.Promoted()
 		res.OrdersPrimary = ordersPrimary
 		if res.Promoted {
-			res.DetectIn = p.ha.PromotedAt.Sub(crashAt)
-			res.ReplayDepth = p.ha.AppliedAtPromote - appliedAtCrash
+			res.DetectIn = p.HA.PromotedAt.Sub(crashAt)
+			res.ReplayDepth = p.HA.AppliedAtPromote - appliedAtCrash
 		}
 		if firstPublish > 0 {
 			res.Blackout = firstPublish.Sub(pri.LastPublishAt())
 		}
 		if firstAccept > 0 {
-			res.FirstAcceptIn = firstAccept.Sub(p.ha.PromotedAt)
+			res.FirstAcceptIn = firstAccept.Sub(p.HA.PromotedAt)
 		}
 		if firstTrade > 0 {
-			res.FirstTradeIn = firstTrade.Sub(p.ha.PromotedAt)
+			res.FirstTradeIn = firstTrade.Sub(p.HA.PromotedAt)
 		}
 		res.PickOffOrdMs = float64(res.RestingAtCrash) *
 			float64(res.Blackout) / float64(sim.Millisecond)
@@ -371,116 +317,67 @@ func runEHAPlant(p ehaPlant, failover bool, res *EHADesignRun) string {
 		// promoted book: every client's working-order set must equal the
 		// standby's, and every resting order must belong to some session.
 		resting := 0
-		for _, ins := range p.u.All() {
+		for _, ins := range p.U.All() {
 			resting += bak.Book(ins.ID).Orders()
 		}
 		owned := 0
-		for i, cs := range p.clients {
+		for i, cs := range clients {
 			w := bak.WorkingOrders(bak.SessionAt(i))
 			owned += len(w)
-			if !equalIDs(w, cs.OpenIDs()) {
+			if !slices.Equal(w, cs.OpenIDs()) {
 				res.ViewMismatch++
 			}
-			res.Overfills += cs.Overfills
-			res.Resubmits += cs.Resubmits
 		}
 		res.Orphans = resting - owned
-		for i := 0; i < bak.NumSessions(); i++ {
-			res.Replayed += bak.SessionAt(i).ReplayedMsgs
-			res.DupSuppressed += bak.SessionAt(i).DupSuppressed
-		}
-		for _, g := range p.gws {
-			res.Reconnects += g.Reconnects
-			res.Unknowns += g.Unknowns
-		}
-		for _, n := range p.norms {
+		res.RecoveryCounters = p.recoveryCounters(bak)
+		for _, n := range p.Norms {
 			res.FeedGaps += n.MsgLost
 		}
-		for _, s := range p.strats {
+		for _, s := range p.Strats {
 			res.FeedGaps += s.GapsSeen
-			if p.gws == nil { // cloud: tenants own the session machinery
-				res.Reconnects += s.Reconnects
-				res.Unknowns += s.UnknownOrders
-			}
 		}
 
 		reg := metrics.NewRegistry()
-		p.ha.RegisterMetrics(reg)
+		p.HA.RegisterMetrics(reg)
 		reg.RegisterUint("oe.resubmits", &res.Resubmits)
 		reg.RegisterUint("oe.dup_suppressed", &res.DupSuppressed)
 		reg.RegisterUint("oe.replayed", &res.Replayed)
 		reg.RegisterUint("oe.reconnects", &res.Reconnects)
 		res.Registry = reg.String()
 		res.FaultLog = plan.LogString()
-		res.DecisionLog = p.ha.DecisionLog()
-		return ehaBookDigest(bak, p.u)
+		res.DecisionLog = p.HA.DecisionLog()
+		return ehaBookDigest(bak, p.U)
 	}
 
 	sched.RunUntil(end)
-	res.ControlPromoted = p.ha.Promoted()
+	res.ControlPromoted = p.HA.Promoted()
 	res.ExecsControl = pri.Executions
-	return ehaBookDigest(pri, p.u)
+	return ehaBookDigest(pri, p.U)
 }
 
 // runEHADesign runs the faulted pass and its control on fresh identical
 // plants and checks end-state equality.
-func runEHADesign(mk func(Scenario) ehaPlant, sc Scenario) EHADesignRun {
-	fo := mk(sc)
-	res := EHADesignRun{Design: fo.name}
+func runEHADesign(build func() *Plant) EHADesignRun {
+	fo := build()
+	res := EHADesignRun{Design: fo.Name}
 	foDigest := runEHAPlant(fo, true, &res)
-	coDigest := runEHAPlant(mk(sc), false, &res)
+	coDigest := runEHAPlant(build(), false, &res)
 	res.DigestMatch = foDigest != "" && foDigest == coDigest
 	return res
 }
 
-// EHAResult is one seed's three design runs.
-type EHAResult struct {
-	Seed    int64
-	Designs []EHADesignRun
-}
-
 // ExchangeFailoverReport is the venue failover experiment replicated
 // across seeds.
-type ExchangeFailoverReport struct {
-	Seeds []int64
-	Runs  []EHAResult
-}
-
-// AllInvariantsOK reports whether every design run of every seed was a
-// zero-loss failover.
-func (r ExchangeFailoverReport) AllInvariantsOK() bool {
-	for _, run := range r.Runs {
-		for _, d := range run.Designs {
-			if !d.InvariantsOK() {
-				return false
-			}
-		}
-	}
-	return true
-}
+type ExchangeFailoverReport struct{ designReport[EHADesignRun] }
 
 // RunExchangeFailover crashes the primary venue mid-burst in all three
 // designs for every seed, each paired with a no-crash control, in
 // parallel, results in seed order. Each run is a pure function of its
 // seed.
 func RunExchangeFailover(sc Scenario, seeds []int64) ExchangeFailoverReport {
-	s := sc
-	s.OEResilience = true
-	s.ExchangeHA = true
-	out := ExchangeFailoverReport{Seeds: seeds}
-	out.Runs = RunParallel(seeds, func(seed int64) EHAResult {
-		sd := s
-		sd.Seed = seed
-		return EHAResult{
-			Seed: seed,
-			Designs: []EHADesignRun{
-				runEHADesign(ehaPlantDesign1, sd),
-				runEHADesign(ehaPlantDesign2, sd),
-				runEHADesign(ehaPlantDesign3, sd),
-			},
-		}
-	})
-	return out
+	sc.OEResilience = true
+	sc.ExchangeHA = true
+	return ExchangeFailoverReport{runStandardDesigns(sc, seeds, runEHADesign)}
 }
 
 // String renders the report: one table row per seed×design, then the first

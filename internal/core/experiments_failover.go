@@ -80,10 +80,6 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 	d.WireGapRecovery()
 	sched := d.Sched
 
-	perBurst := s.BurstMessages / failoverBursts
-	if perBurst < 1 {
-		perBurst = 1
-	}
 	// Aim at the spine carrying the first raw-feed group, so the fault
 	// provably crosses the measured feed.
 	victim := d.LS.GroupSpine(d.RawMap.Groups()[0])
@@ -95,11 +91,7 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 	plan := fault.NewPlan(sched)
 	plan.SwitchOutage(d.LS.SpineFault(victim), failAt, spineOutage)
 
-	for b := 0; b < failoverBursts; b++ {
-		sched.At(burstStart.Add(sim.Duration(b)*burstInterval), func() {
-			d.Ex.PublishBurst(sched.Rand(), perBurst)
-		})
-	}
+	d.publishBursts(failoverBursts, s.BurstMessages/failoverBursts, burstStart, burstInterval, nil)
 	d.Ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
 
 	// Completeness probes: every message the exchange published (bursts plus

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/fault"
-	"tradenet/internal/firm"
 	"tradenet/internal/metrics"
 	"tradenet/internal/orderentry"
 	"tradenet/internal/sim"
@@ -48,57 +46,6 @@ const (
 	oefDrain         = 11 * sim.Millisecond
 )
 
-// oePlant is one design reduced to what the session-kill run needs: the
-// scheduler, the exchange, the session pairs (exchange side index-aligned
-// with client side), and the victim endpoint (always index 0).
-type oePlant struct {
-	name    string
-	sched   *sim.Scheduler
-	ex      *exchange.Exchange
-	exSess  []*orderentry.ExchangeSession
-	clients []*orderentry.ClientSession
-	victim  fault.SessionDropper
-	gws     []*firm.Gateway // nil in the cloud design
-	strats  []*firm.Strategy
-}
-
-func oePlantDesign1(sc Scenario) oePlant {
-	d := NewDesign1(sc, device.DefaultCommodityConfig())
-	p := oePlant{
-		name: "Design 1 (leaf-spine)", sched: d.Sched, ex: d.Ex,
-		exSess: d.ExSessions, victim: d.Gws[0], gws: d.Gws, strats: d.Strats,
-	}
-	for _, g := range d.Gws {
-		p.clients = append(p.clients, g.ExchangeSession())
-	}
-	return p
-}
-
-func oePlantDesign2(sc Scenario) oePlant {
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d := NewDesign2(sc, lats, true)
-	p := oePlant{
-		name: "Design 2 (cloud)", sched: d.Sched, ex: d.Ex,
-		exSess: d.ExSessions, victim: d.Strats[0], strats: d.Strats,
-	}
-	for _, s := range d.Strats {
-		p.clients = append(p.clients, s.Session())
-	}
-	return p
-}
-
-func oePlantDesign3(sc Scenario) oePlant {
-	d := NewDesign3(sc, 0)
-	p := oePlant{
-		name: "Design 3 (L1S)", sched: d.Sched, ex: d.Ex,
-		exSess: d.ExSessions, victim: d.Gws[0], gws: d.Gws, strats: d.Strats,
-	}
-	for _, g := range d.Gws {
-		p.clients = append(p.clients, g.ExchangeSession())
-	}
-	return p
-}
-
 // OEDesignRun is one design's session-kill run.
 type OEDesignRun struct {
 	Design string
@@ -108,26 +55,13 @@ type OEDesignRun struct {
 	// (cancel-on-disconnect instant); OrphansAtProbe is the dead session's
 	// resting-order count after cancel-on-disconnect (must be 0);
 	// ViewMismatch counts sessions whose end-of-run client working-order
-	// set differs from the exchange's (must be 0); Overfills counts fills
-	// past submitted quantity — the duplicate-execution signature (must
-	// be 0).
+	// set differs from the exchange's (must be 0).
 	DetectIn       sim.Duration
 	OrphansAtProbe int
 	ViewMismatch   int
-	Overfills      uint64
 
-	// Resilience machinery counters, summed across sessions.
-	CODCancels    uint64 // exchange cancels issued by cancel-on-disconnect
-	Replayed      uint64 // retained responses replayed at resync
-	DupSuppressed uint64 // idempotent duplicate submissions absorbed
-	ResyncRefused uint64 // resyncs refused (retain window rolled out)
-	Resubmits     uint64 // client new-order re-emissions
-	BusyRejects   uint64 // submissions shed by the ingress token bucket
-	Reconnects    uint64 // sessions redialed
-	Halts         uint64 // strategy quote halts
-	Resumes       uint64 // strategy quote resumptions
-	Rejected      uint64 // requests failed fast while the path was down
-	Unknowns      uint64 // orders escalated as unknown
+	CODCancels       uint64 // exchange cancels issued by cancel-on-disconnect
+	RecoveryCounters        // resilience machinery volume (Overfills must be 0)
 
 	Orders   uint64 // orders the exchange accepted over the run
 	Registry string // metrics registry dump (oe.* et al.)
@@ -135,14 +69,11 @@ type OEDesignRun struct {
 }
 
 // runOEDesign runs the session-kill schedule against one plant.
-func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
-	res := OEDesignRun{Design: p.name, Victim: p.victim.FaultName()}
-	sched := p.sched
+func runOEDesign(p *Plant) OEDesignRun {
+	victim, clients := p.Victim(), p.Clients()
+	res := OEDesignRun{Design: p.Name, Victim: victim.FaultName()}
+	sched := p.Sched
 
-	perBurst := sc.BurstMessages / oefBursts
-	if perBurst < 1 {
-		perBurst = 1
-	}
 	burstStart := sim.Time(5 * sim.Millisecond) // logons drain first
 	// The drop lands inside burst oefDropBurst's tick-to-trade window: the
 	// burst has published and its orders are mid-flight on the OE path, so
@@ -151,18 +82,14 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 	dropAt := burstStart.Add(sim.Duration(oefDropBurst)*oefBurstInterval + 12*sim.Microsecond)
 
 	plan := fault.NewPlan(sched)
-	plan.SessionDrop(p.victim, dropAt)
+	plan.SessionDrop(victim, dropAt)
 
-	for b := 0; b < oefBursts; b++ {
-		sched.At(burstStart.Add(sim.Duration(b)*oefBurstInterval), func() {
-			p.ex.PublishBurst(sched.Rand(), perBurst)
-		})
-	}
-	p.ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
+	p.publishBursts(oefBursts, p.Scenario.BurstMessages/oefBursts, burstStart, oefBurstInterval, nil)
+	p.Ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
 
 	// Stamp the exchange-side death declaration without disturbing the
 	// cancel-on-disconnect hook it triggers.
-	vSess := p.exSess[0]
+	vSess := p.ExSessions[0]
 	onDead := vSess.OnPeerDead
 	vSess.OnPeerDead = func() {
 		if res.DetectIn == 0 {
@@ -176,7 +103,7 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 	// Orphan probe: after cancel-on-disconnect, before the redial, nothing
 	// in the book may still belong to the dead session.
 	sched.AtPrio(dropAt.Add(oefOrphanProbe), sim.PrioReport, func() {
-		res.OrphansAtProbe = p.ex.OpenOrdersOf(vSess)
+		res.OrphansAtProbe = p.Ex.OpenOrdersOf(vSess)
 	})
 
 	// Liveness timers re-arm forever, so the run bounds itself by deadline
@@ -186,42 +113,19 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 
 	// Reconciliation invariant: every client's working-order view must
 	// equal the exchange's view of that session, victim included.
-	for i, es := range p.exSess {
-		if !equalIDs(p.ex.WorkingOrders(es), p.clients[i].OpenIDs()) {
+	for i, es := range p.ExSessions {
+		if !slices.Equal(p.Ex.WorkingOrders(es), clients[i].OpenIDs()) {
 			res.ViewMismatch++
 		}
 	}
-
-	res.CODCancels = p.ex.CancelOnDisconnect
-	for _, es := range p.exSess {
-		res.Replayed += es.ReplayedMsgs
-		res.DupSuppressed += es.DupSuppressed
-		res.ResyncRefused += es.ResyncRefused
-		res.BusyRejects += es.BusyRejects
-	}
-	for _, cs := range p.clients {
-		res.Resubmits += cs.Resubmits
-		res.Overfills += cs.Overfills
-	}
-	for _, g := range p.gws {
-		res.Reconnects += g.Reconnects
-		res.Rejected += g.SessionDownRejects
-		res.Unknowns += g.Unknowns
-	}
-	for _, s := range p.strats {
-		res.Halts += s.Halts
-		res.Resumes += s.Resumes
-		if p.gws == nil { // cloud: strategies own the session machinery
-			res.Reconnects += s.Reconnects
-			res.Unknowns += s.UnknownOrders
-		}
-	}
+	res.CODCancels = p.Ex.CancelOnDisconnect
+	res.RecoveryCounters = p.recoveryCounters(p.Ex)
 
 	reg := metrics.NewRegistry()
 	reg.RegisterUint("oe.retries", &res.Resubmits)
 	reg.RegisterUint("oe.busy_rejects", &res.BusyRejects)
-	reg.RegisterUint("oe.cancel_on_disconnect", &p.ex.CancelOnDisconnect)
-	reg.RegisterUint("oe.sessions_dropped", &p.ex.SessionsDropped)
+	reg.RegisterUint("oe.cancel_on_disconnect", &p.Ex.CancelOnDisconnect)
+	reg.RegisterUint("oe.sessions_dropped", &p.Ex.SessionsDropped)
 	reg.RegisterUint("oe.replayed", &res.Replayed)
 	reg.RegisterUint("oe.dup_suppressed", &res.DupSuppressed)
 	reg.RegisterUint("oe.reconnects", &res.Reconnects)
@@ -229,19 +133,6 @@ func runOEDesign(p oePlant, sc Scenario) OEDesignRun {
 	res.Registry = reg.String()
 	res.FaultLog = plan.LogString()
 	return res
-}
-
-// equalIDs compares two sorted id slices.
-func equalIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // InvariantsOK reports whether a run upheld the recovery contract.
@@ -253,52 +144,18 @@ func (r OEDesignRun) InvariantsOK() bool {
 		r.Reconnects > 0 // the victim made it back in
 }
 
-// OEFailoverResult is one seed's three design runs.
-type OEFailoverResult struct {
-	Seed    int64
-	Designs []OEDesignRun
-}
-
 // OEFailoverReport is the order-entry failover experiment replicated
 // across seeds.
-type OEFailoverReport struct {
-	Seeds []int64
-	Runs  []OEFailoverResult
-}
-
-// AllInvariantsOK reports whether every design run of every seed upheld
-// the recovery contract.
-func (r OEFailoverReport) AllInvariantsOK() bool {
-	for _, run := range r.Runs {
-		for _, d := range run.Designs {
-			if !d.InvariantsOK() {
-				return false
-			}
-		}
-	}
-	return true
-}
+type OEFailoverReport struct{ designReport[OEDesignRun] }
 
 // RunOEFailover kills the order-entry path mid-burst in all three designs
 // for every seed, in parallel, results in seed order. Each run is a pure
 // function of its seed.
 func RunOEFailover(sc Scenario, seeds []int64) OEFailoverReport {
-	s := sc
-	s.OEResilience = true
-	out := OEFailoverReport{Seeds: seeds}
-	out.Runs = RunParallel(seeds, func(seed int64) OEFailoverResult {
-		sd := s
-		sd.Seed = seed
-		return OEFailoverResult{
-			Seed: seed,
-			Designs: []OEDesignRun{
-				runOEDesign(oePlantDesign1(sd), sd),
-				runOEDesign(oePlantDesign2(sd), sd),
-				runOEDesign(oePlantDesign3(sd), sd),
-			},
-		}
-	})
-	return out
+	sc.OEResilience = true
+	return OEFailoverReport{runStandardDesigns(sc, seeds, func(build func() *Plant) OEDesignRun {
+		return runOEDesign(build())
+	})}
 }
 
 // String renders the report: one table row per seed×design, the first

@@ -28,24 +28,17 @@ type DesignComparison struct {
 }
 
 // RunDesignComparison measures the common scenario through Designs 1, 3,
-// and 2 (equalized cloud).
+// and 2 (equalized cloud), one plant alive at a time.
 func RunDesignComparison(sc Scenario, bursts int) DesignComparison {
 	var out DesignComparison
-	art := func(t *Telemetry, design string, sched *sim.Scheduler) {
+	build := StandardDesigns(sc)
+	for _, n := range []int{1, 3, 2} {
+		p := build[n-1]()
+		out.Rows = append(out.Rows, p.MeasureRoundTrip(bursts))
 		if sc.Telemetry != nil {
-			out.Artifacts = append(out.Artifacts, t.Artifact("designs", design, "", sc, sched))
+			out.Artifacts = append(out.Artifacts, p.Tel.Artifact("designs", fmt.Sprintf("design%d", n), "", sc, p.Sched))
 		}
 	}
-	d1 := NewDesign1(sc, device.DefaultCommodityConfig())
-	out.Rows = append(out.Rows, d1.MeasureRoundTrip(bursts))
-	art(d1.Tel, "design1", d1.Sched)
-	d3 := NewDesign3(sc, 0)
-	out.Rows = append(out.Rows, d3.MeasureRoundTrip(bursts))
-	art(d3.Tel, "design3", d3.Sched)
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d2 := NewDesign2(sc, lats, true)
-	out.Rows = append(out.Rows, d2.MeasureRoundTrip(bursts))
-	art(d2.Tel, "design2", d2.Sched)
 	return out
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"tradenet/internal/device"
-	"tradenet/internal/exchange"
 	"tradenet/internal/fault"
 	"tradenet/internal/manifest"
 	"tradenet/internal/metrics"
@@ -99,31 +97,6 @@ func wanrModes() []wanrMode {
 	}
 }
 
-// wanPlant is one design reduced to what the mirror run needs.
-type wanPlant struct {
-	name  string
-	sched *sim.Scheduler
-	ex    *exchange.Exchange
-	wf    *WANFeed
-	tel   *Telemetry
-}
-
-func wanPlantDesign1(sc Scenario) wanPlant {
-	d := NewDesign1(sc, device.DefaultCommodityConfig())
-	return wanPlant{name: "Design 1 (leaf-spine)", sched: d.Sched, ex: d.Ex, wf: d.WANFeed, tel: d.Tel}
-}
-
-func wanPlantDesign2(sc Scenario) wanPlant {
-	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
-	d := NewDesign2(sc, lats, true)
-	return wanPlant{name: "Design 2 (cloud)", sched: d.Sched, ex: d.Ex, wf: d.WANFeed, tel: d.Tel}
-}
-
-func wanPlantDesign3(sc Scenario) wanPlant {
-	d := NewDesign3(sc, 0)
-	return wanPlant{name: "Design 3 (L1S)", sched: d.Sched, ex: d.Ex, wf: d.WANFeed, tel: d.Tel}
-}
-
 // WANRedundancyRun is one (design, timeline, mode) cell.
 type WANRedundancyRun struct {
 	Design   string
@@ -178,12 +151,12 @@ func (r WANRedundancyRun) OverheadPct() float64 {
 }
 
 // runWANRedundancy drives one plant through one timeline under one mode.
-func runWANRedundancy(p wanPlant, sc Scenario, tl rainTimeline, mode wanrMode) WANRedundancyRun {
-	res := WANRedundancyRun{Design: p.name, Timeline: tl.name, Mode: mode.name}
-	sched, wf := p.sched, p.wf
-	if p.tel != nil {
-		wf.RegisterMetrics(p.tel.Reg)
-		p.tel.Arm(0, wanrEnd())
+func runWANRedundancy(p *Plant, tl rainTimeline, mode wanrMode) WANRedundancyRun {
+	res := WANRedundancyRun{Design: p.Name, Timeline: tl.name, Mode: mode.name}
+	sched, wf := p.Sched, p.WANFeed
+	if p.Tel != nil {
+		wf.RegisterMetrics(p.Tel.Reg)
+		p.Tel.Arm(0, wanrEnd())
 	}
 	wf.MW.Config.RainLossProb = tl.lossProb
 	if mode.adaptive {
@@ -195,15 +168,7 @@ func runWANRedundancy(p wanPlant, sc Scenario, tl rainTimeline, mode wanrMode) W
 	plan := fault.NewPlan(sched)
 	plan.RainTimeline(wf.MW, tl.windows...)
 
-	perBurst := sc.BurstMessages / 12
-	if perBurst < 1 {
-		perBurst = 1
-	}
-	for b := 0; b < wanrBursts; b++ {
-		sched.At(wanrBurstStart.Add(sim.Duration(b)*wanrBurstGap), func() {
-			p.ex.PublishBurst(sched.Rand(), perBurst)
-		})
-	}
+	p.publishBursts(wanrBursts, p.Scenario.BurstMessages/12, wanrBurstStart, wanrBurstGap, nil)
 
 	// Completeness probes: every wanrProbeGap, is the remote picture whole
 	// (live + replayed ≥ what had been published wanrLagAllowance ago — the
@@ -223,7 +188,7 @@ func runWANRedundancy(p wanPlant, sc Scenario, tl rainTimeline, mode wanrMode) W
 	for at := wanrBurstStart; at <= end; at = at.Add(wanrProbeGap) {
 		sched.AtPrio(at, sim.PrioReport, func() {
 			i := len(pubHist)
-			pubHist = append(pubHist, p.ex.PublishedMsgs)
+			pubHist = append(pubHist, p.Ex.PublishedMsgs)
 			j := i - lagProbes
 			if j < 0 {
 				j = 0
@@ -255,7 +220,7 @@ func runWANRedundancy(p wanPlant, sc Scenario, tl rainTimeline, mode wanrMode) W
 			res.RecoveredInRun = false
 		}
 	}
-	res.Published = p.ex.PublishedMsgs
+	res.Published = p.Ex.PublishedMsgs
 	res.LiveMsgs = wf.FeedMsgs
 	res.Recovered = wf.RecoveredMsgs()
 	res.DataBytes = wf.Sender.Stats.DataBytes
@@ -274,8 +239,8 @@ func runWANRedundancy(p wanPlant, sc Scenario, tl rainTimeline, mode wanrMode) W
 	wf.RegisterMetrics(reg)
 	res.Registry = reg.String()
 
-	if p.tel != nil {
-		art := p.tel.Artifact("wanredundancy", p.name, tl.name+" "+mode.name, sc, sched)
+	if p.Tel != nil {
+		art := p.Tel.Artifact("wanredundancy", p.Name, tl.name+" "+mode.name, p.Scenario, sched)
 		art.Faults = []manifest.LogRecord{{Name: "rain", Log: res.FaultLog}}
 		art.Decisions = []manifest.LogRecord{{Name: "controller", Log: res.DecisionLog}}
 		res.Artifact = art
@@ -305,19 +270,20 @@ func RunWANRedundancy(sc Scenario, seeds []int64) WANRedundancyReport {
 		s := sc
 		s.Seed = seed
 		s.WANRedundancy = true
+		build := StandardDesigns(s)
 		res := WANRedundancyResult{Seed: seed}
 		for _, tl := range wanrTimelines() {
 			for _, mode := range wanrModes() {
-				res.Matrix = append(res.Matrix, runWANRedundancy(wanPlantDesign1(s), s, tl, mode))
+				res.Matrix = append(res.Matrix, runWANRedundancy(build[0](), tl, mode))
 			}
 		}
 		// Design sweep: adaptive under the squall. Design 1's cell is the
 		// matrix run — same plant, same schedule — so reuse it.
 		squall := wanrTimelines()[0]
 		adaptive := wanrModes()[3]
-		res.Designs = append(res.Designs, res.Matrix[3])
-		res.Designs = append(res.Designs, runWANRedundancy(wanPlantDesign2(s), s, squall, adaptive))
-		res.Designs = append(res.Designs, runWANRedundancy(wanPlantDesign3(s), s, squall, adaptive))
+		res.Designs = append(res.Designs, res.Matrix[3],
+			runWANRedundancy(build[1](), squall, adaptive),
+			runWANRedundancy(build[2](), squall, adaptive))
 		return res
 	})
 	return out

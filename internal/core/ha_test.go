@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestHAFailoverPromotesAndRehomes(t *testing.T) {
 	var overfills uint64
 	for i, g := range d.Gws {
 		cs := g.ExchangeSession()
-		if !equalIDs(bak.WorkingOrders(bak.SessionAt(i)), cs.OpenIDs()) {
+		if !slices.Equal(bak.WorkingOrders(bak.SessionAt(i)), cs.OpenIDs()) {
 			t.Fatalf("gateway %d: client view diverged from promoted book", i)
 		}
 		overfills += cs.Overfills

@@ -65,6 +65,49 @@ func Seeds(base int64, n int) []int64 {
 	return out
 }
 
+// seedDesigns is one seed's run of a fault experiment on each standard
+// design, in design order.
+type seedDesigns[R any] struct {
+	Seed    int64
+	Designs []R
+}
+
+// designReport is a per-design fault experiment replicated across seeds
+// (E21, E23): R is one design's run.
+type designReport[R interface{ InvariantsOK() bool }] struct {
+	Seeds []int64
+	Runs  []seedDesigns[R]
+}
+
+// AllInvariantsOK reports whether every design run of every seed upheld the
+// experiment's contract.
+func (r designReport[R]) AllInvariantsOK() bool {
+	for _, run := range r.Runs {
+		for _, d := range run.Designs {
+			if !d.InvariantsOK() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// runStandardDesigns runs one design's experiment on each of the standard
+// designs for every seed, seeds in parallel, results in seed order. run gets
+// the design's constructor rather than a plant so that it can build a second,
+// identical one (E23's control).
+func runStandardDesigns[R interface{ InvariantsOK() bool }](sc Scenario, seeds []int64, run func(build func() *Plant) R) designReport[R] {
+	return designReport[R]{Seeds: seeds, Runs: RunParallel(seeds, func(seed int64) seedDesigns[R] {
+		s := sc
+		s.Seed = seed
+		res := seedDesigns[R]{Seed: seed}
+		for _, build := range StandardDesigns(s) {
+			res.Designs = append(res.Designs, run(build))
+		}
+		return res
+	})}
+}
+
 // ReplicatedDesignRow is one design's statistics merged across replications.
 type ReplicatedDesignRow struct {
 	Design       string

@@ -1,6 +1,6 @@
-// Order-entry resilience wiring: one shared parameter set applied to all
-// three designs when Scenario.OEResilience is set, so the failover
-// experiment compares network shapes rather than tuning choices.
+// Order-entry resilience wiring: one shared parameter set applied to every
+// plant when Scenario.OEResilience is set, so the failover experiment
+// compares network shapes rather than tuning choices.
 package core
 
 import (
@@ -81,36 +81,14 @@ func oeExchangeResilience() exchange.Resilience {
 	}
 }
 
-// hardenGateway arms a gateway's exchange-facing session and wires its
-// redial to a replacement endpoint at the exchange. clientAddr is the
-// gateway's own OE address — the exchange needs it to provision the
-// replacement stream.
-func hardenGateway(g *firm.Gateway, ex *exchange.Exchange, sess *orderentry.ExchangeSession, clientAddr pkt.UDPAddr) {
+// hardenGateway arms a gateway's exchange-facing session: liveness, retry,
+// and a redial through reaccept (see Plant.reaccept).
+func hardenGateway(g *firm.Gateway, reaccept func() pkt.UDPAddr) {
 	g.HardenExchangeSession(firm.GatewayResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ex.OENIC().Addr(ex.ReacceptSession(sess, clientAddr))
-		},
-		StreamMaxRTO:    oeStreamMaxRTO,
-		StreamDeadAfter: oeStreamDeadAfter,
-	})
-}
-
-// hardenGatewayHA mirrors hardenGateway with the redial routed through the
-// HA cluster: the replacement endpoint is provisioned by whichever exchange
-// is live at redial time, addressed by the session-table index both sides
-// of the replication pair share — after a failover the same closure lands
-// the gateway on the promoted standby's twin session.
-func hardenGatewayHA(g *firm.Gateway, ha *HACluster, idx int, clientAddr pkt.UDPAddr) {
-	g.HardenExchangeSession(firm.GatewayResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ha.Reaccept(idx, clientAddr)
-		},
+		Liveness:        oeLiveness(),
+		Retry:           oeRetry(),
+		ReconnectDelay:  oeReconnectDelay,
+		Reconnect:       reaccept,
 		StreamMaxRTO:    oeStreamMaxRTO,
 		StreamDeadAfter: oeStreamDeadAfter,
 	})
@@ -127,34 +105,70 @@ func hardenStrategyBehindGateway(s *firm.Strategy) {
 }
 
 // hardenTenant arms a cloud tenant that holds its exchange session
-// directly: the full gateway treatment (liveness, retry, reconnect with
-// replay) plus the strategy's quote halt.
-func hardenTenant(s *firm.Strategy, ex *exchange.Exchange, sess *orderentry.ExchangeSession, clientAddr pkt.UDPAddr) {
+// directly: the full gateway treatment (liveness, retry, redial through
+// reaccept with replay) plus the strategy's quote halt.
+func hardenTenant(s *firm.Strategy, reaccept func() pkt.UDPAddr) {
 	s.EnableResilience(firm.StrategyResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ex.OENIC().Addr(ex.ReacceptSession(sess, clientAddr))
-		},
+		Liveness:        oeLiveness(),
+		Retry:           oeRetry(),
+		ReconnectDelay:  oeReconnectDelay,
+		Reconnect:       reaccept,
 		RequoteDelay:    oeRequoteDelay,
 		StreamMaxRTO:    oeStreamMaxRTO,
 		StreamDeadAfter: oeStreamDeadAfter,
 	})
 }
 
-// hardenTenantHA is hardenTenant with the redial routed through the HA
-// cluster (see hardenGatewayHA).
-func hardenTenantHA(s *firm.Strategy, ha *HACluster, idx int, clientAddr pkt.UDPAddr) {
-	s.EnableResilience(firm.StrategyResilience{
-		Liveness:       oeLiveness(),
-		Retry:          oeRetry(),
-		ReconnectDelay: oeReconnectDelay,
-		Reconnect: func() pkt.UDPAddr {
-			return ha.Reaccept(idx, clientAddr)
-		},
-		RequoteDelay:    oeRequoteDelay,
-		StreamMaxRTO:    oeStreamMaxRTO,
-		StreamDeadAfter: oeStreamDeadAfter,
-	})
+// RecoveryCounters is how much order-entry recovery machinery a run
+// exercised, summed over the plant.
+type RecoveryCounters struct {
+	// Exchange side, over the serving venue's sessions.
+	Replayed      uint64 // retained responses replayed at resync
+	DupSuppressed uint64 // idempotent duplicate submissions absorbed
+	ResyncRefused uint64 // resyncs refused (retain window rolled out)
+	BusyRejects   uint64 // submissions shed by the ingress token bucket
+
+	// Client sessions.
+	Resubmits uint64 // new-order re-emissions
+	Overfills uint64 // fills past submitted quantity: the duplicate-execution signature
+
+	// Session owners: the gateways, or in the cloud plant the tenants.
+	Reconnects uint64 // sessions redialed
+	Unknowns   uint64 // orders escalated as unknown
+	Rejected   uint64 // requests a gateway failed fast while its path was down
+
+	Halts   uint64 // strategy quote halts
+	Resumes uint64 // strategy quote resumptions
+}
+
+// recoveryCounters folds the plant's counters; venue is the exchange whose
+// session table serves the clients at the end of the run (the promoted
+// standby after a failover).
+func (p *Plant) recoveryCounters(venue *exchange.Exchange) RecoveryCounters {
+	var c RecoveryCounters
+	for i := 0; i < venue.NumSessions(); i++ {
+		es := venue.SessionAt(i)
+		c.Replayed += es.ReplayedMsgs
+		c.DupSuppressed += es.DupSuppressed
+		c.ResyncRefused += es.ResyncRefused
+		c.BusyRejects += es.BusyRejects
+	}
+	for _, cs := range p.Clients() {
+		c.Resubmits += cs.Resubmits
+		c.Overfills += cs.Overfills
+	}
+	for _, g := range p.Gws {
+		c.Reconnects += g.Reconnects
+		c.Unknowns += g.Unknowns
+		c.Rejected += g.SessionDownRejects
+	}
+	for _, s := range p.Strats {
+		c.Halts += s.Halts
+		c.Resumes += s.Resumes
+		if p.cloud() {
+			c.Reconnects += s.Reconnects
+			c.Unknowns += s.UnknownOrders
+		}
+	}
+	return c
 }

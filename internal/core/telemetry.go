@@ -1,7 +1,6 @@
 package core
 
 import (
-	"tradenet/internal/exchange"
 	"tradenet/internal/manifest"
 	"tradenet/internal/metrics"
 	"tradenet/internal/sim"
@@ -32,8 +31,8 @@ type Telemetry struct {
 }
 
 // newTelemetry builds the plane, or nil when the scenario opts out. The
-// registry starts with the scheduler's self-metrics; designs add their
-// exchange, experiments add their layer (wan.*, …).
+// registry starts with the scheduler's self-metrics; Plant.build adds the
+// exchange and ha.* counters, experiments add their layer (wan.*, …).
 func newTelemetry(sched *sim.Scheduler, spec *TelemetrySpec) *Telemetry {
 	if spec == nil {
 		return nil
@@ -44,25 +43,6 @@ func newTelemetry(sched *sim.Scheduler, spec *TelemetrySpec) *Telemetry {
 		Reg:     reg,
 		Sampler: metrics.NewSampler(sched, reg, metrics.SamplerConfig{Interval: spec.Interval, Capacity: spec.Capacity}),
 	}
-}
-
-// RegisterExchange adds the exchange's publish counters. Nil-safe.
-func (t *Telemetry) RegisterExchange(ex *exchange.Exchange) {
-	if t == nil {
-		return
-	}
-	t.Reg.RegisterUint("exchange.published_dgrams", &ex.Published)
-	t.Reg.RegisterUint("exchange.published_msgs", &ex.PublishedMsgs)
-	t.Reg.RegisterUint("exchange.cancel_on_disconnect", &ex.CancelOnDisconnect)
-	t.Reg.RegisterUint("exchange.sessions_dropped", &ex.SessionsDropped)
-}
-
-// RegisterHA adds the HA cluster's ha.* counters. Nil-safe on both sides.
-func (t *Telemetry) RegisterHA(ha *HACluster) {
-	if t == nil || ha == nil {
-		return
-	}
-	ha.RegisterMetrics(t.Reg)
 }
 
 // Arm schedules sampling ticks over [from, until]. Nil-safe no-op.

@@ -107,7 +107,7 @@ func TestWANRedundancyArtifact(t *testing.T) {
 	sc := telemetryScenario()
 	sc.Seed = 3
 	sc.WANRedundancy = true
-	res := runWANRedundancy(wanPlantDesign1(sc), sc, wanrTimelines()[0], wanrModes()[3])
+	res := runWANRedundancy(StandardDesigns(sc)[0](), wanrTimelines()[0], wanrModes()[3])
 	art := res.Artifact
 	if art == nil {
 		t.Fatal("armed E22 cell emitted no artifact")
