@@ -1,11 +1,11 @@
-// Package framemut keeps frame bytes immutable once built. Replication
-// points no longer copy: netsim.Frame.Clone returns a header that aliases
-// the original's bytes, so a switch fan-out hands the same backing array
-// to hundreds of receivers. A store into one holder's Data is therefore a
-// store into everybody's. The rule (DESIGN.md "Frame ownership and
-// immutability") is that Data is written only while the frame is being
-// built — by appending into a fresh NewFrame() — and never after the frame
-// is first sent.
+// Package framemut keeps frames immutable once built. Replication points
+// copy nothing: netsim.Frame.Clone hands an untraced frame itself to every
+// leg, and gives a traced leg a header that aliases the original's bytes, so
+// a switch fan-out puts one *Frame and one backing array in front of
+// hundreds of receivers. A store through one holder is therefore a store
+// into everybody's frame. The rule (DESIGN.md "Frame ownership and
+// immutability") is that a frame is written only while it is being built —
+// by appending into a fresh NewFrame() — and never after it is first sent.
 //
 // Three shapes write into existing frame bytes and are flagged when their
 // target is the Data field of a netsim.Frame:
@@ -15,12 +15,18 @@
 //   - an in-place append: append(f.Data[:k], ...), which overwrites the
 //     bytes past k instead of growing a fresh tail.
 //
-// Building stays legal: f.Data = append(f.Data, ...) and
-// f.Data = pkt.AppendUDPFrame(f.Data, ...) only add bytes past the length,
-// and on a clone — whose capacity is clamped to its length — they
-// reallocate. Package netsim itself is exempt: it is where frames are
-// constructed. The check is syntactic: a write through a local alias
-// (d := f.Data; d[0] = 1) is not seen.
+// And the builder rule: an assignment to the Data, Origin or ID field of a
+// netsim.Frame is legal only through a variable whose every binding is
+// netsim.NewFrame(), netsim.NewFrameBytes(...) or a Frame composite literal
+// — the frame is this code's own and nobody else holds it yet. So
+// fr.Data = pkt.AppendUDPFrame(fr.Data, ...) on a fresh frame builds, and
+// the same line on a received frame, a parameter or the result of Clone
+// (which may be the shared original) is flagged. Trace stays assignable: it
+// is the one per-holder field, and is non-nil only on a frame nobody shares.
+//
+// Package netsim itself is exempt: it is where frames are constructed. The
+// check is syntactic: a write through a local alias (d := f.Data; d[0] = 1;
+// g := []*netsim.Frame{f}; g[0].ID = 1) is not seen.
 package framemut
 
 import (
@@ -33,7 +39,7 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "framemut",
-	Doc:  "forbid writes into the Data of a netsim.Frame outside package netsim; frame bytes are shared by reference once sent",
+	Doc:  "forbid writes into a netsim.Frame that is not under construction, outside package netsim; a sent frame and its bytes are shared by reference",
 	Run:  run,
 }
 
@@ -43,14 +49,17 @@ func run(pass *analysis.Pass) error {
 	}
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
+		built := builtFrames(info, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					checkStore(pass, lhs)
+					checkField(pass, built, lhs)
 				}
 			case *ast.IncDecStmt:
 				checkStore(pass, n.X)
+				checkField(pass, built, n.X)
 			case *ast.CallExpr:
 				id, ok := ast.Unparen(n.Fun).(*ast.Ident)
 				if !ok || len(n.Args) == 0 {
@@ -77,6 +86,86 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// builtFrames returns the frame variables of file whose every binding — the
+// declaration and each later assignment — is a builder expression: the
+// variables through which the builder rule lets Data, Origin and ID be set.
+// Parameters, range variables and results of anything else are absent.
+func builtFrames(info *types.Info, file *ast.File) map[types.Object]bool {
+	built := make(map[types.Object]bool)
+	bind := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return
+		}
+		obj := info.ObjectOf(id)
+		if obj == nil || !isFrame(obj.Type()) {
+			return
+		}
+		was, seen := built[obj]
+		built[obj] = (was || !seen) && rhs != nil && isBuilder(info, rhs)
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				var rhs ast.Expr // stays nil for a multi-value call
+				if len(n.Rhs) == len(n.Lhs) {
+					rhs = n.Rhs[i]
+				}
+				bind(lhs, rhs)
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				var rhs ast.Expr
+				if len(n.Values) == len(n.Names) {
+					rhs = n.Values[i]
+				}
+				bind(name, rhs)
+			}
+		}
+		return true
+	})
+	return built
+}
+
+// isBuilder reports whether e yields a frame nobody else holds:
+// netsim.NewFrame(), netsim.NewFrameBytes(...) or a Frame composite literal.
+func isBuilder(info *types.Info, e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if u, ok := e.(*ast.UnaryExpr); ok {
+		e = ast.Unparen(u.X)
+	}
+	switch e := e.(type) {
+	case *ast.CompositeLit:
+		return isFrame(info.TypeOf(e))
+	case *ast.CallExpr:
+		fn := analysis.CalleeFunc(info, e)
+		return analysis.IsPkgFunc(fn, analysis.NetsimPath) &&
+			(fn.Name() == "NewFrame" || fn.Name() == "NewFrameBytes")
+	}
+	return false
+}
+
+// checkField reports lhs when it assigns the Data, Origin or ID field of a
+// frame through anything but a variable this file built.
+func checkField(pass *analysis.Pass, built map[types.Object]bool, lhs ast.Expr) {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok || !isFrame(pass.TypesInfo.TypeOf(sel.X)) {
+		return
+	}
+	switch sel.Sel.Name {
+	case "Data", "Origin", "ID":
+	default:
+		return
+	}
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && built[pass.TypesInfo.ObjectOf(id)] {
+		return
+	}
+	pass.Reportf(lhs.Pos(),
+		"assignment to the %s of a netsim.Frame this code did not build: a sent frame is shared by every replica, Clone's result included; set fields only on a frame fresh from NewFrame, NewFrameBytes or a literal",
+		sel.Sel.Name)
 }
 
 // checkStore reports lhs when it is an element of a frame's Data.
@@ -108,10 +197,11 @@ func sliceBase(e ast.Expr) ast.Expr {
 // or *netsim.Frame.
 func isFrameData(info *types.Info, e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Data" {
-		return false
-	}
-	t := info.TypeOf(sel.X)
+	return ok && sel.Sel.Name == "Data" && isFrame(info.TypeOf(sel.X))
+}
+
+// isFrame reports whether t is netsim.Frame or *netsim.Frame.
+func isFrame(t types.Type) bool {
 	if t == nil {
 		return false
 	}

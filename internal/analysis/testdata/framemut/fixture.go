@@ -22,8 +22,38 @@ func Bad(f *netsim.Frame, r *rx, src []byte) {
 	r.last.Data[1] = 2                 // want `store into the Data of a netsim\.Frame`
 	copy(f.Data, src)                  // want `copy into the Data of a netsim\.Frame`
 	copy(f.Data[14:], src)             // want `copy into the Data of a netsim\.Frame`
-	f.Data = append(f.Data[:14], 1, 2) // want `in-place append over the Data of a netsim\.Frame`
+	f.Data = append(f.Data[:14], 1, 2) // want `in-place append over the Data of a netsim\.Frame` `assignment to the Data of a netsim\.Frame`
 	_ = append(f.Data[:0], src...)     // want `in-place append over the Data of a netsim\.Frame`
+}
+
+// BadFields sets fields of frames other holders may share: a sent frame is
+// one object in front of every receiver, and Clone may return its receiver.
+func BadFields(f *netsim.Frame, r *rx, payload []byte) {
+	f.Data = append(f.Data, payload...) // want `assignment to the Data of a netsim\.Frame`
+	f.Origin = 0                        // want `assignment to the Origin of a netsim\.Frame`
+	f.ID++                              // want `assignment to the ID of a netsim\.Frame`
+	f.Origin += 5                       // want `assignment to the Origin of a netsim\.Frame`
+	r.frames[0].ID = 1                  // want `assignment to the ID of a netsim\.Frame`
+	r.last.Data = nil                   // want `assignment to the Data of a netsim\.Frame`
+
+	c := f.Clone()
+	c.Data = append(c.Data, 1) // want `assignment to the Data of a netsim\.Frame`
+	c.Release()
+
+	// A variable that was ever bound to anything but a builder is not a
+	// frame under construction.
+	g := netsim.NewFrame()
+	g.Release()
+	g = f
+	g.ID = 2 // want `assignment to the ID of a netsim\.Frame`
+
+	var h *netsim.Frame
+	h = r.frames[0]
+	h.Origin = 3 // want `assignment to the Origin of a netsim\.Frame`
+
+	for _, q := range r.frames {
+		q.ID = 4 // want `assignment to the ID of a netsim\.Frame`
+	}
 }
 
 // Good builds frames by appending past the length and only reads received
@@ -35,7 +65,28 @@ func Good(f *netsim.Frame, src, dst pkt.UDPAddr, payload []byte) []byte {
 	fr.Release()
 
 	hand := &netsim.Frame{Data: pkt.AppendUDPFrame(nil, src, dst, 7, payload)}
+	hand.Origin, hand.ID = 5, 9
 	hand.Release()
+
+	// Every field may be set on a frame this code built, inside a closure
+	// too, and on one rebound to another fresh frame.
+	func() {
+		b := netsim.NewFrameBytes(payload)
+		b.Origin = 1
+		b.ID++
+		b.Release()
+		b = netsim.NewFrame()
+		b.Data = append(b.Data, payload...)
+		b.Release()
+	}()
+	var val netsim.Frame = netsim.Frame{Data: payload}
+	val.ID = 3
+
+	// Trace is per-holder state: stealing or clearing it on a received
+	// frame is how consumers hand a trace on.
+	if f.Trace != nil {
+		f.Trace = nil
+	}
 
 	// Reads, re-slices and copies out of a frame are fine.
 	out := make([]byte, len(f.Data))

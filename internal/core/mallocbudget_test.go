@@ -23,6 +23,9 @@ func TestMallocBudgetPerStrategyMessage(t *testing.T) {
 		perBurst = 2000
 		ceiling  = 0.26
 	)
+	if raceEnabled {
+		t.Skip("under -race a sync.Pool drops a quarter of its Puts at random, so the frame pools re-allocate: 0.55 allocations a message against 0.17 without, none of them the program's")
+	}
 	d := NewDesign3(SmallScenario(), 0)
 	msgsIn := func() (n uint64) {
 		for _, s := range d.Strats {

@@ -294,11 +294,12 @@ func (s *CommoditySwitch) forwardMulticast(ingress *netsim.Port, f *netsim.Frame
 	s.sched.AtArgs3(start.Add(s.cfg.SoftwareLatency), sim.PrioDeliver, fanOutEntry, ent, ingress, f)
 }
 
-// fanOut replicates f to every egress except ingress. Replicas share f's
-// bytes (netsim.Frame.Clone copies nothing). The last eligible leg is given
-// the original frame instead of a clone, so a fan-out of one takes no
-// header from the clone pool; a fan-out with no eligible legs terminates
-// the frame.
+// fanOut replicates f to every egress except ingress. Clone copies nothing:
+// an untraced f goes to every leg as the one *netsim.Frame, counted once per
+// leg, and a traced f gets a header with a forked trace per extra leg. The
+// last eligible leg takes over the caller's hold instead of adding one, so
+// a fan-out of one is a plain forward; a fan-out with no eligible legs
+// terminates the frame.
 func fanOut(outs []*netsim.Port, ingress *netsim.Port, f *netsim.Frame) {
 	n := 0
 	for _, out := range outs {

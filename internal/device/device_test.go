@@ -6,6 +6,7 @@ import (
 	"tradenet/internal/netsim"
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
+	"tradenet/internal/trace"
 	"tradenet/internal/units"
 )
 
@@ -480,5 +481,81 @@ func TestDeviceAccessors(t *testing.T) {
 	fl := NewFilteringL1Switch(sched, "fl", 2, DefaultFilteringL1Config())
 	if fl.Config().Latency != 100*sim.Nanosecond {
 		t.Fatal("filtering l1s accessors")
+	}
+}
+
+// TestFanOutSharesOneFrame pins what a replica is at the two big
+// replication points: an untraced datagram reaches all 32 receivers as the
+// one *netsim.Frame that entered the device, a traced one as 32 distinct
+// frames (31 headers with forked traces, and the original) — and the bytes
+// are never copied either way.
+func TestFanOutSharesOneFrame(t *testing.T) {
+	const legs = 32
+	grp := pkt.MulticastGroup(1, 3)
+	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 9}
+	devices := map[string]func(*sim.Scheduler) (in *netsim.Port, outs []*netsim.Port){
+		"commodity": func(sched *sim.Scheduler) (*netsim.Port, []*netsim.Port) {
+			sw := NewCommoditySwitch(sched, "sw", legs+1, DefaultCommodityConfig())
+			var outs []*netsim.Port
+			for i := 1; i <= legs; i++ {
+				sw.JoinGroup(grp, i)
+				outs = append(outs, sw.Port(i))
+			}
+			return sw.Port(0), outs
+		},
+		"l1s": func(sched *sim.Scheduler) (*netsim.Port, []*netsim.Port) {
+			sw := NewL1Switch(sched, "l1s", legs+1, DefaultL1SConfig())
+			var outs []*netsim.Port
+			var idx []int
+			for i := 1; i <= legs; i++ {
+				idx = append(idx, i)
+				outs = append(outs, sw.Port(i))
+			}
+			sw.Circuit(0, idx...)
+			return sw.Port(0), outs
+		},
+	}
+	for name, build := range devices {
+		for _, traced := range []bool{false, true} {
+			sched := sim.NewScheduler(1)
+			in, outs := build(sched)
+			tx := netsim.NewPort(sched, nil, "tx")
+			netsim.Connect(tx, in, units.Rate10G, 0)
+			var sinks []*sinkPort
+			for _, out := range outs {
+				s := newSink(sched, "rx")
+				netsim.Connect(out, s.port, units.Rate10G, 0)
+				sinks = append(sinks, s)
+			}
+			f := netsim.NewFrame()
+			f.Data = pkt.AppendUDPFrame(f.Data, pkt.UDPAddr{MAC: pkt.HostMAC(100), IP: pkt.HostIP(100), Port: 1}, dst, 0, make([]byte, 200))
+			if traced {
+				f.Trace = trace.NewRecorder(1, 2*legs).Start(0)
+			}
+			tx.Send(f)
+			sched.Run()
+
+			distinct := map[*netsim.Frame]bool{}
+			for i, s := range sinks {
+				if len(s.frames) != 1 {
+					t.Fatalf("%s, traced %v: sink %d got %d frames", name, traced, i, len(s.frames))
+				}
+				got := s.frames[0]
+				if len(got.Data) != len(f.Data) || &got.Data[0] != &f.Data[0] {
+					t.Fatalf("%s, traced %v: sink %d's frame does not alias the ingress frame's bytes", name, traced, i)
+				}
+				if traced && got.Trace == nil {
+					t.Fatalf("%s: sink %d's leg of a traced frame lost its trace", name, i)
+				}
+				distinct[got] = true
+			}
+			if want := map[bool]int{false: 1, true: legs}[traced]; len(distinct) != want || !distinct[f] {
+				t.Fatalf("%s, traced %v: %d sinks hold %d distinct frames (the original among them: %v), want %d",
+					name, traced, legs, len(distinct), distinct[f], want)
+			}
+			for _, s := range sinks {
+				s.frames[0].Release()
+			}
+		}
 	}
 }

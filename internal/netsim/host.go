@@ -16,10 +16,10 @@ type NIC struct {
 
 	host *Host
 	// groups is the set of joined multicast MACs, each packed into a uint64
-	// (macKey): the filter runs on every multicast frame the NIC sees, and an
-	// integer key takes the map's fast path where a 6-byte array is hashed
-	// byte-wise.
-	groups map[uint64]bool
+	// (macKey) and kept sorted: the filter runs on every multicast frame the
+	// NIC sees, and a NIC joins a handful of groups, so an ordered scan of one
+	// cache line beats a hash probe into a map that is cold per NIC.
+	groups []uint64
 
 	// Promiscuous disables destination filtering (tap/capture NICs).
 	Promiscuous bool
@@ -36,14 +36,33 @@ type NIC struct {
 
 // Join subscribes the NIC to an IP multicast group (IGMP join in spirit).
 func (n *NIC) Join(group pkt.IP4) {
-	if n.groups == nil {
-		n.groups = make(map[uint64]bool)
+	k := macKey(pkt.MulticastMAC(group))
+	i, joined := n.findGroup(k)
+	if joined {
+		return
 	}
-	n.groups[macKey(pkt.MulticastMAC(group))] = true
+	n.groups = append(n.groups, 0)
+	copy(n.groups[i+1:], n.groups[i:])
+	n.groups[i] = k
 }
 
 // Leave unsubscribes the NIC from a group.
-func (n *NIC) Leave(group pkt.IP4) { delete(n.groups, macKey(pkt.MulticastMAC(group))) }
+func (n *NIC) Leave(group pkt.IP4) {
+	if i, joined := n.findGroup(macKey(pkt.MulticastMAC(group))); joined {
+		n.groups = append(n.groups[:i], n.groups[i+1:]...)
+	}
+}
+
+// findGroup scans the sorted keys up to the first one ≥ k: its position is
+// where k is if joined, and where it belongs if not.
+func (n *NIC) findGroup(k uint64) (i int, joined bool) {
+	for i, g := range n.groups {
+		if g >= k {
+			return i, g == k
+		}
+	}
+	return len(n.groups), false
+}
 
 // macKey packs a MAC into the low 48 bits of a uint64.
 func macKey(m pkt.MAC) uint64 {
@@ -65,7 +84,8 @@ func (n *NIC) accepts(dst pkt.MAC) bool {
 		return true
 	}
 	if dst.IsMulticast() {
-		return n.groups[macKey(dst)]
+		_, joined := n.findGroup(macKey(dst))
+		return joined
 	}
 	return false
 }

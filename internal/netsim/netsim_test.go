@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"tradenet/internal/pkt"
@@ -274,6 +276,64 @@ func TestNICAcceptsFilter(t *testing.T) {
 	nic.Promiscuous = true
 	if !nic.accepts(pkt.HostMAC(8)) || !nic.accepts(pkt.MulticastMAC(g2)) {
 		t.Error("promiscuous NIC filtered a frame")
+	}
+
+	// The sorted set against a map, at the sizes a NIC sees and well beyond:
+	// joins in random order with duplicates, leaves of joined and absent
+	// groups, leave then re-join, and a probe of every candidate after each.
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range []int{0, 1, 8, 64} {
+		nic := h.AddNIC("md", 7)
+		ref := map[pkt.MAC]bool{}
+		var cands []pkt.IP4 // twice as many candidates as joins
+		for i := 0; i < 2*size+2; i++ {
+			cands = append(cands, pkt.MulticastGroup(uint8(rng.Intn(4)), uint16(rng.Intn(1<<16))))
+		}
+		check := func(step string) {
+			t.Helper()
+			if nic.Subscriptions() != len(ref) {
+				t.Fatalf("size %d, %s: subscriptions = %d, want %d", size, step, nic.Subscriptions(), len(ref))
+			}
+			if !sort.SliceIsSorted(nic.groups, func(i, j int) bool { return nic.groups[i] < nic.groups[j] }) {
+				t.Fatalf("size %d, %s: group keys out of order: %x", size, step, nic.groups)
+			}
+			for _, g := range cands {
+				if m := pkt.MulticastMAC(g); nic.accepts(m) != ref[m] {
+					t.Fatalf("size %d, %s: accepts(%v) = %v, want %v", size, step, m, !ref[m], ref[m])
+				}
+			}
+			if !nic.accepts(nic.MAC) || nic.accepts(pkt.HostMAC(8)) {
+				t.Fatalf("size %d, %s: unicast filter wrong", size, step)
+			}
+		}
+		check("empty")
+		order := rng.Perm(size)
+		for n, i := range order {
+			nic.Join(cands[i])
+			ref[pkt.MulticastMAC(cands[i])] = true
+			nic.Join(cands[order[rng.Intn(n+1)]]) // a duplicate
+		}
+		check("joined")
+		for i, g := range cands {
+			if i%3 == 0 {
+				nic.Leave(g) // joined or absent alike
+				delete(ref, pkt.MulticastMAC(g))
+				check("left")
+			}
+		}
+		for i, g := range cands {
+			if i%6 == 0 {
+				nic.Join(g)
+				ref[pkt.MulticastMAC(g)] = true
+				check("re-joined")
+			}
+		}
+		nic.Promiscuous = true
+		for _, g := range cands {
+			if !nic.accepts(pkt.MulticastMAC(g)) {
+				t.Fatalf("size %d: promiscuous NIC filtered %v", size, g)
+			}
+		}
 	}
 }
 

@@ -13,10 +13,10 @@ const frameBufCap = 2048
 
 // framePool recycles root frames — a Frame header that owns a frameBufCap
 // byte buffer through its Data slice — and clonePool recycles the bare
-// headers Clone hands out, so the per-frame hot path is allocation-free and
-// a unicast frame costs one Get and one Put. They are sync.Pools (not free
-// lists) because core.RunParallel runs independent simulations on separate
-// goroutines that share this package.
+// headers Clone hands to the legs of a traced frame. An untraced frame
+// touches framePool alone, one Get and one Put however many receivers share
+// it. They are sync.Pools (not free lists) because core.RunParallel runs
+// independent simulations on separate goroutines that share this package.
 var (
 	framePool = sync.Pool{
 		New: func() any {
@@ -57,12 +57,15 @@ func NewFrameBytes(data []byte) *Frame {
 	return f
 }
 
-// Release gives up the holder's reference. A clone's header goes back to
-// its pool at once; a buffer goes back only when its last holder — the root
-// or any clone, in any order — has released, so a released root whose clones
-// are still queued is dead to its holder but not yet reusable. It is a no-op
-// for frames not obtained from a pool (hand-built test frames) and for
-// double releases, so terminal points can release unconditionally.
+// Release gives up one hold on the frame. A clone header goes back to its
+// pool at once; a root goes back to its pool, and is marked released, only
+// when its last hold — the builder's, a sharing Clone's or a header's, in any
+// order — is given up. It is a no-op for frames not obtained from a pool
+// (hand-built test frames) and for a frame nobody holds, so terminal points
+// can release unconditionally and a second release of a header, or of a
+// frame's last hold, is harmless. A shared frame cannot tell its holders
+// apart: one holder releasing twice takes a sibling's hold, so each Clone is
+// matched by exactly one Release.
 //
 // Release only at provably-terminal points: address-filter discards, queue
 // tail-drops, in-flight losses, and consumers that are done with the bytes.
@@ -83,18 +86,19 @@ func (f *Frame) Release() {
 	if !f.pooled || f.released {
 		return
 	}
-	f.released = true
 	r := f.root
 	if r != f {
-		// A clone: drop the aliases so an idle header pins no buffer.
+		// A header: drop the aliases so an idle header pins no buffer.
+		f.released = true
 		f.Data, f.root = nil, nil
 		//simlint:allow sharedstate: returning to the sync.Pool is concurrency-safe by contract; the header is dead and carries no state into its next run
 		clonePool.Put(f)
 		if r == nil {
-			return // replica of a hand-built frame: the GC owns the bytes
+			return // header over a hand-built frame: the GC owns the bytes
 		}
 	}
 	if r.refs--; r.refs == 0 {
+		r.released = true
 		//simlint:allow sharedstate: returning to the sync.Pool is concurrency-safe by contract; the frame is dead and carries no state into its next run
 		framePool.Put(r)
 	}

@@ -24,12 +24,14 @@ const FrameOverheadBytes = 20
 // carried along so receivers can measure one-way latency the way the
 // paper's timestamping discussion describes (order-out minus md-in).
 //
-// Data is written only while the frame is being built: once the frame is
-// first sent its bytes are immutable, because replication points share them
-// by reference (see Clone, and DESIGN.md "Frame ownership and
-// immutability"). simlint's framemut analyzer enforces the rule.
+// Data, Origin and ID are written only while the frame is being built: once
+// the frame is first sent it is immutable, because replication points hand
+// the same *Frame to every receiver (see Clone, and DESIGN.md "Frame
+// ownership and immutability"). simlint's framemut analyzer enforces the
+// rule. Only Trace is per-holder state, and it is non-nil only on a frame
+// that is not shared.
 //
-// The struct is one cache line; a clone is nothing more than this header.
+// The struct is one cache line.
 type Frame struct {
 	Data   []byte
 	Origin sim.Time
@@ -42,29 +44,51 @@ type Frame struct {
 	Trace *trace.Ctx
 
 	// root is the pooled frame whose buffer backs Data: the frame itself when
-	// it came from NewFrame, the original when it is a clone, nil when the
-	// garbage collector owns the bytes (hand-built frames and their clones).
+	// it came from NewFrame, the original when it is a clone header, nil when
+	// the garbage collector owns the bytes (hand-built frames and their
+	// headers).
 	root *Frame
-	// refs counts the live holders of root's buffer — the root itself plus
-	// its clones, transitively. Meaningful on roots only. It is a plain
-	// integer: a frame and all its clones stay inside one simulation, and a
-	// simulation runs on one goroutine.
+	// refs counts the holds on root: the one NewFrame hands out, one per
+	// Clone that returned the root itself, one per live header. Meaningful
+	// on roots only. It is a plain integer: a frame and everything cloned
+	// from it stay inside one simulation, and a simulation runs on one
+	// goroutine.
 	refs int32
 
 	pooled   bool // came from framePool or clonePool; Release returns it
-	released bool // double-release guard
+	released bool // nobody holds it: the double-release and use-after-release guard
 }
 
-// Clone returns a replica that shares f's bytes: a header from the clone
-// pool whose Data aliases f.Data, holding one more reference on the buffer's
-// owner. The cost does not depend on the frame's size. The replica's Data
-// has its capacity clamped to its length, so an append on it reallocates
-// instead of writing into spare capacity its siblings share. A traced
-// frame's clone carries a fork of the trace (nil once the recorder is at
-// capacity — replication is where trace counts could otherwise explode).
+// isHeader reports whether f came from clonePool: a traced leg's own header
+// over bytes some other frame (or the garbage collector) owns.
+func (f *Frame) isHeader() bool { return f.pooled && f.root != f }
+
+// Clone adds a holder to the frame and returns the frame that holder owns.
+// An untraced original has no per-holder state, so the new holder shares it:
+// Clone counts one more hold and returns f itself (a hand-built f has
+// nothing to count — the garbage collector owns it). No pool is touched,
+// and every receiver of a fan-out reads the one warm header. Calling it on a
+// pooled frame whose last hold was released is a use after release and
+// panics.
+//
+// A leg of a traced frame needs a trace.Ctx of its own, so when f.Trace is
+// set — or f is itself such a leg's header — Clone returns a header from
+// clonePool instead: Data aliases f.Data with its capacity clamped to its
+// length, the header holds one reference on the buffer's owner, and Trace is
+// a fork of f's (nil once the recorder is at capacity — replication is where
+// trace counts could otherwise explode). Neither form copies a byte.
 //
 //simlint:allow sharedstate: clonePool is a sync.Pool — concurrency-safe by contract, and a recycled header carries no observable state between runs
 func (f *Frame) Clone() *Frame {
+	if f.released {
+		panic("netsim: Clone of a released frame")
+	}
+	if f.Trace == nil && !f.isHeader() {
+		if f.pooled {
+			f.refs++
+		}
+		return f
+	}
 	c := clonePool.Get().(*Frame)
 	n := len(f.Data)
 	c.Data = f.Data[:n:n]
