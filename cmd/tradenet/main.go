@@ -51,8 +51,7 @@
 // DESIGN.md "Telemetry plane"). Experiments with sampler wiring (designs,
 // wanredundancy) emit time-resolved metric series, registry dumps, and
 // scheduler profiles; every other experiment emits a meta + host-stats
-// manifest so the perf observatory (cmd/tradestat) can track its wall
-// clock and GC pressure across revisions. Everything in a manifest except
+// manifest (cmd/tradestat validates them). Everything in a manifest except
 // the hoststats line is a pure function of the seed.
 package main
 
@@ -279,6 +278,10 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile, taken after the selected experiment(s), to this file")
 	)
 	flag.Parse()
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "-replications %d: want at least 1\n", *reps)
+		os.Exit(2)
+	}
 
 	sc := core.SmallScenario()
 	if *scale == "paper" {

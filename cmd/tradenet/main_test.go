@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -74,5 +76,40 @@ func TestStartProfiles(t *testing.T) {
 
 	if _, err := startProfiles(filepath.Join(dir, "no-such-dir", "cpu.pprof"), ""); err == nil {
 		t.Error("unwritable -cpuprofile path did not fail")
+	}
+}
+
+// -replications below 1 is a usage error: the binary exits 2 with one line
+// on stderr and runs nothing, for the per-seed experiments as for the rest.
+func TestReplicationsBelowOneRejected(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "tradenet")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-experiment", "failover", "-replications", "0"},
+		{"-experiment", "oefailover", "-replications", "0"},
+		{"-experiment", "wanredundancy", "-replications", "-1"},
+		{"-experiment", "exchangefailover", "-replications", "0"},
+		{"-experiment", "designs", "-replications", "0"},
+	} {
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit status 2", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed output before rejecting:\n%s", args, stdout.String())
+		}
+		if lines := strings.Count(stderr.String(), "\n"); lines != 1 || !strings.Contains(stderr.String(), "-replications") {
+			t.Errorf("%v: stderr %q, want one line naming -replications", args, stderr.String())
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -16,9 +15,6 @@ import (
 // run manifests, BENCH_PR*.json files as recorded benchmark references.
 // All problems are reported before failing.
 func runCheck(w io.Writer, paths []string) error {
-	if len(paths) == 0 {
-		return fmt.Errorf("-check: no paths given")
-	}
 	var problems []string
 	checked := 0
 	for _, p := range paths {
@@ -123,27 +119,4 @@ func checkBenchJSON(path string) error {
 		return fmt.Errorf("no benchmark sections")
 	}
 	return nil
-}
-
-// loadArtifacts loads one path: a telemetry directory or a single
-// manifest file.
-func loadArtifacts(path string) ([]*manifest.Artifact, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.IsDir() {
-		return manifest.LoadDir(path)
-	}
-	a, err := manifest.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return []*manifest.Artifact{a}, nil
-}
-
-// runKey names a run across revisions: the canonical filename minus its
-// extension, i.e. experiment[-design][-cell]-seed<seed>.
-func runKey(a *manifest.Artifact) string {
-	return strings.TrimSuffix(a.Filename(), filepath.Ext(a.Filename()))
 }

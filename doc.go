@@ -7,7 +7,7 @@
 //
 // The implementation lives under internal/; runnable entry points are
 // cmd/tradenet (experiment harness), cmd/feedgen, cmd/replay, and the
-// programs in examples/. Benchmarks in this package (bench_test.go)
-// regenerate every table and figure; see DESIGN.md for the experiment
-// index and EXPERIMENTS.md for paper-versus-measured results.
+// programs in examples/. `tradenet -experiment <id>` regenerates every
+// table and figure; see DESIGN.md for the experiment index and
+// EXPERIMENTS.md for paper-versus-measured results.
 package tradenet

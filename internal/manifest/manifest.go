@@ -1,7 +1,7 @@
 // Package manifest defines the run-manifest artifact: every experiment run
-// serialized as NDJSON under one stable, versioned schema, so the perf
-// observatory (cmd/tradestat), CI gates, and humans all read the same
-// bytes the simulation produced.
+// serialized as NDJSON under one stable, versioned schema, so the
+// validator (cmd/tradestat), CI, and humans all read the same bytes the
+// simulation produced.
 //
 // A manifest is one artifact per (experiment, design/cell, seed): a meta
 // line naming the run and its knobs, then optional structured blocks —
@@ -243,26 +243,8 @@ func slug(s string) string {
 	return strings.TrimRight(b.String(), "-")
 }
 
-// EventsPerSec computes the headline rate from the deterministic event
-// count and the wall-clock host block (0 if either is missing).
-func (a *Artifact) EventsPerSec() float64 {
-	if a.Host == nil || a.Host.WallNs <= 0 || a.Meta.Events == 0 {
-		return 0
-	}
-	return float64(a.Meta.Events) / (float64(a.Host.WallNs) / 1e9)
-}
-
-// AllocPerEvent computes GC pressure as allocated bytes per fired event
-// (0 if unknown) — the manifest-side complement of the bench gate.
-func (a *Artifact) AllocPerEvent() float64 {
-	if a.Host == nil || a.Meta.Events == 0 {
-		return 0
-	}
-	return float64(a.Host.AllocBytes) / float64(a.Meta.Events)
-}
-
 // Validate checks structural invariants a well-formed artifact must hold;
-// cmd/tradestat -check runs this over CI artifacts.
+// cmd/tradestat runs this over CI artifacts.
 func (a *Artifact) Validate() error {
 	if a.Meta.Schema != Schema {
 		return fmt.Errorf("schema %q, want %q", a.Meta.Schema, Schema)

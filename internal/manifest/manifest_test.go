@@ -100,11 +100,8 @@ func TestArtifactEncodeDecodeRoundTrip(t *testing.T) {
 	if len(back.Series) != len(art.Series) || back.Profile == nil || back.Host == nil {
 		t.Error("blocks lost in round trip")
 	}
-	if got := back.EventsPerSec(); got != float64(sched.Fired())/0.001 {
-		t.Errorf("EventsPerSec = %f", got)
-	}
-	if got := back.AllocPerEvent(); got != 4096/float64(sched.Fired()) {
-		t.Errorf("AllocPerEvent = %f", got)
+	if h := *back.Host; h.WallNs != 1_000_000 || h.AllocBytes != 4096 || h.Mallocs != 32 || h.NumGC != 1 || h.PauseNs != 100 {
+		t.Errorf("host block lost in round trip: %+v", h)
 	}
 }
 
