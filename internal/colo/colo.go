@@ -150,12 +150,8 @@ func (c *Circuit) FaultName() string {
 // Advantage returns how much faster medium fast is than medium slow between
 // the same pair — the latency edge a microwave network buys (§2).
 func Advantage(sched *sim.Scheduler, a, b Facility) sim.Duration {
-	null := nullHandler{}
+	null := netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) {})
 	f := NewCircuit(sched, a, b, DefaultFiber(), null, null)
 	m := NewCircuit(sched, a, b, DefaultMicrowave(), null, null)
 	return f.Latency - m.Latency
 }
-
-type nullHandler struct{}
-
-func (nullHandler) HandleFrame(*netsim.Port, *netsim.Frame) {}

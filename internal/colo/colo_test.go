@@ -7,6 +7,9 @@ import (
 	"tradenet/internal/sim"
 )
 
+// discard terminates a circuit direction a test never receives on.
+var discard = netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) {})
+
 type counter struct {
 	n  int
 	at []sim.Time
@@ -67,7 +70,7 @@ func TestMicrowaveBeatsFiberOnLatency(t *testing.T) {
 func TestCircuitDeliversWithPropagation(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	rxB := &counter{s: sched}
-	c := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), nullHandler{}, rxB)
+	c := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), discard, rxB)
 	sched.At(0, func() { c.PortA.Send(&netsim.Frame{Data: make([]byte, 100)}) })
 	sched.Run()
 	if rxB.n != 1 {
@@ -84,7 +87,7 @@ func TestCircuitDeliversWithPropagation(t *testing.T) {
 func TestRainFadeCausesLossOnMicrowaveOnly(t *testing.T) {
 	sched := sim.NewScheduler(7)
 	rx := &counter{s: sched}
-	mw := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), nullHandler{}, rx)
+	mw := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), discard, rx)
 	mw.Config.RainLossProb = 0.5 // heavy storm for test power
 	mw.SetRaining(true)
 	if !mw.Raining() {
@@ -123,7 +126,7 @@ func TestRainFadeCausesLossOnMicrowaveOnly(t *testing.T) {
 
 	// Fiber ignores rain entirely.
 	rxF := &counter{s: sched}
-	fb := NewCircuit(sched, Carteret, Secaucus, DefaultFiber(), nullHandler{}, rxF)
+	fb := NewCircuit(sched, Carteret, Secaucus, DefaultFiber(), discard, rxF)
 	fb.SetRaining(true)
 	if fb.PortA.EffectiveLossProb() != 0 {
 		t.Fatal("fiber should not fade in rain")
@@ -136,7 +139,7 @@ func TestRainComposesWithLossBurst(t *testing.T) {
 	// source, the link runs at the max while both are open, and the base
 	// rate returns only when the last window closes.
 	sched := sim.NewScheduler(3)
-	mw := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), nullHandler{}, nullHandler{})
+	mw := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), discard, discard)
 	mw.Config.RainLossProb = 0.1
 
 	us := sim.Microsecond
@@ -163,7 +166,7 @@ func TestRainComposesWithLossBurst(t *testing.T) {
 
 func TestOverlappingRainWindowsRefcount(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	mw := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), nullHandler{}, nullHandler{})
+	mw := NewCircuit(sched, Carteret, Secaucus, DefaultMicrowave(), discard, discard)
 	mw.SetRaining(true)
 	mw.SetRaining(true) // second storm cell overlaps the first
 	mw.SetRaining(false)

@@ -22,21 +22,6 @@ type ColocationResult struct {
 	WANOneWay         sim.Duration
 }
 
-type stampSink struct {
-	sched *sim.Scheduler
-	at    *sim.Time
-	relay func(f *netsim.Frame)
-}
-
-func (s *stampSink) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
-	if s.at != nil {
-		*s.at = s.sched.Now()
-	}
-	if s.relay != nil {
-		s.relay(f)
-	}
-}
-
 // RunColocation races a co-located firm against a remote firm reacting to
 // the same market-data event with identical decision latency.
 func RunColocation(decision sim.Duration, seed int64) ColocationResult {
@@ -52,14 +37,13 @@ func RunColocation(decision sim.Duration, seed int64) ColocationResult {
 
 	// Local firm: exchange → firm over an in-colo cross-connect (5 m), and
 	// back the same way.
-	localOrderRx := &stampSink{sched: sched, at: &localOrderAt}
+	localOrderRx := netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) { localOrderAt = sched.Now() })
 	localOrderPort := netsim.NewPort(sched, localOrderRx, "ex-oe-local")
 	var localFirmTx *netsim.Port
 
-	localFirm := &stampSink{sched: sched}
-	localFirm.relay = func(*netsim.Frame) {
+	localFirm := netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) {
 		sched.After(decision, func() { localFirmTx.Send(mkFrame()) })
-	}
+	})
 	localFirmRxPort := netsim.NewPort(sched, localFirm, "local-md")
 	localMDTx := netsim.NewPort(sched, nil, "ex-md-local")
 	crossConnect := 25 * sim.Nanosecond
@@ -69,13 +53,13 @@ func RunColocation(decision sim.Duration, seed int64) ColocationResult {
 
 	// Remote firm: exchange → Secaucus over microwave, orders back over
 	// microwave.
-	remoteFirm := &stampSink{sched: sched}
-	mdCircuit := colo.NewCircuit(sched, colo.Carteret, colo.Secaucus, colo.DefaultMicrowave(), nullH{}, remoteFirm)
-	remoteOrderRx := &stampSink{sched: sched, at: &remoteOrderAt}
-	oeCircuit := colo.NewCircuit(sched, colo.Secaucus, colo.Carteret, colo.DefaultMicrowave(), nullH{}, remoteOrderRx)
-	remoteFirm.relay = func(*netsim.Frame) {
+	var oeCircuit *colo.Circuit
+	remoteFirm := netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) {
 		sched.After(decision, func() { oeCircuit.PortA.Send(mkFrame()) })
-	}
+	})
+	mdCircuit := colo.NewCircuit(sched, colo.Carteret, colo.Secaucus, colo.DefaultMicrowave(), discard, remoteFirm)
+	remoteOrderRx := netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) { remoteOrderAt = sched.Now() })
+	oeCircuit = colo.NewCircuit(sched, colo.Secaucus, colo.Carteret, colo.DefaultMicrowave(), discard, remoteOrderRx)
 
 	// The market event fires at t=1ms on both paths simultaneously.
 	sched.At(sim.Time(sim.Millisecond), func() {

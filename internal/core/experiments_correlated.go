@@ -43,9 +43,7 @@ func RunCorrelatedMerge(fanIn, millis int, seed int64) CorrelatedMergeResult {
 		sched := sim.NewScheduler(seed)
 		sw := device.NewL1Switch(sched, "l1s", fanIn+1, device.DefaultL1SConfig())
 		lat := metrics.NewHistogram()
-		sink := &latencySink{sched: sched, h: lat}
-		sink.port = netsim.NewPort(sched, sink, "rx")
-		netsim.Connect(sw.Port(fanIn), sink.port, units.Rate10G, 0)
+		netsim.Connect(sw.Port(fanIn), netsim.NewPort(sched, latencySink(sched, lat), "rx"), units.Rate10G, 0)
 
 		end := sim.Time(sim.Duration(millis) * sim.Millisecond)
 		txs := make([]*netsim.Port, fanIn)

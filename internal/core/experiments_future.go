@@ -50,9 +50,7 @@ func RunFilteredMerge(fanIns []int, millis int, seed int64) FilteredMergeResult 
 			cfg := device.DefaultFilteringL1Config()
 			sw := device.NewFilteringL1Switch(sched, "fl1s", k+1, cfg)
 			lat := metrics.NewHistogram()
-			sink := &latencySink{sched: sched, h: lat}
-			sink.port = netsim.NewPort(sched, sink, "rx")
-			netsim.Connect(sw.Port(k), sink.port, units.Rate10G, 0)
+			netsim.Connect(sw.Port(k), netsim.NewPort(sched, latencySink(sched, lat), "rx"), units.Rate10G, 0)
 
 			groups := make([]pkt.IP4, k)
 			for i := range groups {

@@ -48,8 +48,8 @@ func runMetroView(horizon sim.Duration, seed int64, cfg colo.CircuitConfig) (sha
 
 	// Observation delays from each venue to the Carteret host.
 	delay := map[market.ExchangeID]sim.Duration{
-		1: colo.NewCircuit(sched, colo.Mahwah, colo.Carteret, cfg, nullH{}, nullH{}).Latency,
-		2: colo.NewCircuit(sched, colo.Secaucus, colo.Carteret, cfg, nullH{}, nullH{}).Latency,
+		1: colo.NewCircuit(sched, colo.Mahwah, colo.Carteret, cfg, discard, discard).Latency,
+		2: colo.NewCircuit(sched, colo.Secaucus, colo.Carteret, cfg, discard, discard).Latency,
 		3: 25 * sim.Nanosecond, // local cross-connect
 	}
 

@@ -173,7 +173,7 @@ func (p *Plant) build(fab fabric) {
 	}
 	p.wireSessions()
 	if sc.WANRedundancy {
-		p.WANFeed = NewWANFeed(p.Sched, p.Ex, DefaultWANFeedConfig())
+		p.WANFeed = NewWANFeed(p.Sched, p.Ex)
 	}
 	if p.Tel = newTelemetry(p.Sched, sc.Telemetry); p.Tel != nil {
 		reg := p.Tel.Reg

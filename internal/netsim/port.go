@@ -112,6 +112,13 @@ type Handler interface {
 	HandleFrame(ingress *Port, f *Frame)
 }
 
+// HandlerFunc adapts an ordinary function to a Handler, as http.HandlerFunc
+// does for http.Handler: a sink whose only job is a callback needs no type.
+type HandlerFunc func(ingress *Port, f *Frame)
+
+// HandleFrame calls h(ingress, f).
+func (h HandlerFunc) HandleFrame(ingress *Port, f *Frame) { h(ingress, f) }
+
 // queued is one egress-queue entry: the frame and its enqueue instant.
 type queued struct {
 	f   *Frame
