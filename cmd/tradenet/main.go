@@ -10,37 +10,9 @@
 //	tradenet -experiment all -telemetry out/telemetry
 //	tradenet -experiment designs -scale paper -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Experiments (see DESIGN.md's per-experiment index):
-//
-//	table1      E1  — frame lengths per feed (Table 1)
-//	fig2a       E2  — daily event growth (Figure 2a)
-//	fig2b       E3  — single stock intraday, 1s windows (Figure 2b)
-//	fig2c       E4  — busiest second, 100µs windows (Figure 2c)
-//	designs     E5+E6+E12 — round trips through Designs 1, 3, 2
-//	mroute      E7  — multicast table overflow cliff
-//	generations E8  — switch latency/multicast trends
-//	merge       E9  — L1S merge bottleneck sweep
-//	overhead    E10 — header overhead + compact-transport ablation
-//	partitions  E11 — partition growth vs mroute capacity
-//	budget      E13 — per-event budgets vs measured codec cost
-//	wan         E14 — microwave vs fiber inter-colo circuits
-//	dualpath    E15 — A/B arbitration over microwave + fiber with rain
-//	colocation  E16 — co-located vs remote firm tick-to-trade race
-//	metronbbo   E17 — cross-colo NBBO skew at a surveillance host
-//	filtermerge A1  — FPGA-filtered L1S merging (§5 Hardware)
-//	placement   A2  — rack placement optimization (§5 Cluster Management)
-//	groupmap    A3  — partition→group mapping co-design (§5 Routing)
-//	timestamps  A4  — clock-sync precision vs event ordering (§2)
-//	filterplace A5  — in-process vs middlebox filtering crossover (§3)
-//	correlated  A6  — correlated cross-feed bursts at a merge (§2)
-//	corepin     A7  — core isolation vs shared cores (Fig. 1d)
-//	genrt       E8b — Design 1 round trip across switch generations
-//	stalequotes E18 — the cost of latency: repricing races an aggressor
-//	failover    E19 — deterministic fault injection: spine kill + WAN outage
-//	attribution E20 — flight-recorder latency attribution across designs
-//	oefailover  E21 — order-entry session kill: liveness, cancel-on-disconnect, replay
-//	wanredundancy E22 — adaptive WAN redundancy: recovery policy × rain fade × design
-//	exchangefailover E23 — primary venue crash: journal replication, promotion, zero-loss failover
+// The experiment ids are the entries of the experiments registry below; an
+// unknown id prints them all, and DESIGN.md's per-experiment index maps each
+// to the table, figure or claim it reproduces.
 //
 // Pass -csv <dir> to also export the Figure 2 data series as CSV. Pass
 // -trace <file> with -experiment attribution to export the recorded spans
@@ -50,9 +22,11 @@
 // one NDJSON run manifest per run under <dir> (schema tradenet.run.v1; see
 // DESIGN.md "Telemetry plane"). Experiments with sampler wiring (designs,
 // wanredundancy) emit time-resolved metric series, registry dumps, and
-// scheduler profiles; every other experiment emits a meta + host-stats
-// manifest (cmd/tradestat validates them). Everything in a manifest except
-// the hoststats line is a pure function of the seed.
+// scheduler profiles; the fault experiments emit one manifest per seed and
+// cell carrying its fault timeline and decision logs; every other experiment
+// emits a meta + host-stats manifest (cmd/tradestat validates them).
+// Everything in a manifest except the hoststats line is a pure function of
+// the seed.
 package main
 
 import (
@@ -69,7 +43,6 @@ import (
 // runCfg carries the parsed flags to experiment runners.
 type runCfg struct {
 	sc        core.Scenario
-	seed      int64
 	frames    int
 	bursts    int
 	reps      int
@@ -87,151 +60,81 @@ type experimentSpec struct {
 	run func(cfg runCfg) []*manifest.Artifact
 }
 
-// show adapts a print-only experiment to the runner signature.
+// show adapts an experiment that returns a report to the runner signature:
+// it prints the report and returns the report's run manifests, if it has
+// any (the fault experiments' do, one per seed and cell).
 func show(run func(c runCfg) fmt.Stringer) func(runCfg) []*manifest.Artifact {
 	return func(c runCfg) []*manifest.Artifact {
-		fmt.Println(run(c))
+		r := run(c)
+		fmt.Println(r)
+		if m, ok := r.(interface{ Manifests() []*manifest.Artifact }); ok {
+			return m.Manifests()
+		}
 		return nil
-	}
-}
-
-// metaArtifact builds a meta-only manifest for experiments without sampler
-// wiring, optionally carrying deterministic text logs.
-func metaArtifact(experiment, design, cell string, seed int64, faults, decisions []manifest.LogRecord) *manifest.Artifact {
-	return &manifest.Artifact{
-		Meta: manifest.Meta{
-			Schema:     manifest.Schema,
-			Experiment: experiment,
-			Design:     design,
-			Cell:       cell,
-			Seed:       seed,
-		},
-		Faults:    faults,
-		Decisions: decisions,
 	}
 }
 
 var experiments = []experimentSpec{
-	{"table1", show(func(c runCfg) fmt.Stringer { return core.RunTable1(c.frames, c.seed) })},
-	{"fig2a", show(func(c runCfg) fmt.Stringer { return core.RunFig2a(c.seed) })},
-	{"fig2b", show(func(c runCfg) fmt.Stringer { return core.RunFig2b(c.seed) })},
-	{"fig2c", show(func(c runCfg) fmt.Stringer { return core.RunFig2c(c.seed) })},
+	{"table1", show(func(c runCfg) fmt.Stringer { return core.RunTable1(c.frames, c.sc.Seed) })},
+	{"fig2a", show(func(c runCfg) fmt.Stringer { return core.RunFig2a(c.sc.Seed) })},
+	{"fig2b", show(func(c runCfg) fmt.Stringer { return core.RunFig2b(c.sc.Seed) })},
+	{"fig2c", show(func(c runCfg) fmt.Stringer { return core.RunFig2c(c.sc.Seed) })},
 	{"designs", func(c runCfg) []*manifest.Artifact {
-		if c.reps > 1 {
-			r := core.RunDesignComparisonSeeds(c.sc, c.bursts, core.Seeds(c.seed, c.reps))
+		r := core.RunDesignComparisonSeeds(c.sc, c.bursts, core.Seeds(c.sc.Seed, c.reps))
+		if c.reps == 1 {
+			fmt.Println(r.Runs[0])
+		} else {
 			fmt.Println(r)
-			var arts []*manifest.Artifact
-			for _, run := range r.Runs {
-				arts = append(arts, run.Artifacts...)
-			}
-			return arts
 		}
-		r := core.RunDesignComparison(c.sc, c.bursts)
-		fmt.Println(r)
-		return r.Artifacts
+		var arts []*manifest.Artifact
+		for _, run := range r.Runs {
+			arts = append(arts, run.Artifacts...)
+		}
+		return arts
 	}},
-	{"mroute", func(c runCfg) []*manifest.Artifact {
+	{"mroute", show(func(c runCfg) fmt.Stringer {
 		if c.reps > 1 {
-			fmt.Println(core.RunMrouteOverflowSeeds(40, 20, 60, core.Seeds(c.seed, c.reps)))
-			return nil
+			return core.RunMrouteOverflowSeeds(40, 20, 60, core.Seeds(c.sc.Seed, c.reps))
 		}
-		fmt.Println(core.RunMrouteOverflow(40, 20, 60, c.seed))
-		return nil
-	}},
+		return core.RunMrouteOverflow(40, 20, 60, c.sc.Seed)
+	})},
 	{"generations", show(func(c runCfg) fmt.Stringer { return core.RunGenerations() })},
-	{"merge", show(func(c runCfg) fmt.Stringer { return core.RunMergeBottleneck([]int{1, 2, 4, 8}, 50, c.seed) })},
-	{"overhead", show(func(c runCfg) fmt.Stringer { return core.RunHeaderOverhead(c.frames, c.seed) })},
+	{"merge", show(func(c runCfg) fmt.Stringer { return core.RunMergeBottleneck([]int{1, 2, 4, 8}, 50, c.sc.Seed) })},
+	{"overhead", show(func(c runCfg) fmt.Stringer { return core.RunHeaderOverhead(c.frames, c.sc.Seed) })},
 	{"partitions", show(func(c runCfg) fmt.Stringer { return core.RunPartitionScaling(4) })},
 	{"budget", show(func(c runCfg) fmt.Stringer { return core.RunPerEventBudget(2_000_000) })},
-	{"wan", show(func(c runCfg) fmt.Stringer { return core.RunWAN(1000, c.seed) })},
+	{"wan", show(func(c runCfg) fmt.Stringer { return core.RunWAN(1000, c.sc.Seed) })},
 	// §5 future-work ablations:
-	{"filtermerge", show(func(c runCfg) fmt.Stringer { return core.RunFilteredMerge([]int{2, 4, 8}, 50, c.seed) })},
-	{"placement", show(func(c runCfg) fmt.Stringer { return core.RunPlacement(4, 64, 4, 11, 10, c.seed) })},
-	{"groupmap", show(func(c runCfg) fmt.Stringer { return core.RunGroupMapping(1024, 64, 50, c.seed) })},
-	{"timestamps", show(func(c runCfg) fmt.Stringer { return core.RunTimestampPrecision(20_000, c.seed) })},
+	{"filtermerge", show(func(c runCfg) fmt.Stringer { return core.RunFilteredMerge([]int{2, 4, 8}, 50, c.sc.Seed) })},
+	{"placement", show(func(c runCfg) fmt.Stringer { return core.RunPlacement(4, 64, 4, 11, 10, c.sc.Seed) })},
+	{"groupmap", show(func(c runCfg) fmt.Stringer { return core.RunGroupMapping(1024, 64, 50, c.sc.Seed) })},
+	{"timestamps", show(func(c runCfg) fmt.Stringer { return core.RunTimestampPrecision(20_000, c.sc.Seed) })},
 	{"filterplace", show(func(c runCfg) fmt.Stringer { return core.RunFilterPlacement() })},
-	{"dualpath", show(func(c runCfg) fmt.Stringer { return core.RunDualPathWAN(5000, c.seed) })},
-	{"correlated", show(func(c runCfg) fmt.Stringer { return core.RunCorrelatedMerge(4, 60, c.seed) })},
-	{"colocation", show(func(c runCfg) fmt.Stringer { return core.RunColocation(2*sim.Microsecond, c.seed) })},
-	{"metronbbo", show(func(c runCfg) fmt.Stringer { return core.RunMetroNBBO(500*sim.Millisecond, c.seed) })},
+	{"dualpath", show(func(c runCfg) fmt.Stringer { return core.RunDualPathWAN(5000, c.sc.Seed) })},
+	{"correlated", show(func(c runCfg) fmt.Stringer { return core.RunCorrelatedMerge(4, 60, c.sc.Seed) })},
+	{"colocation", show(func(c runCfg) fmt.Stringer { return core.RunColocation(2*sim.Microsecond, c.sc.Seed) })},
+	{"metronbbo", show(func(c runCfg) fmt.Stringer { return core.RunMetroNBBO(500*sim.Millisecond, c.sc.Seed) })},
 	{"genrt", show(func(c runCfg) fmt.Stringer { return core.RunGenerationRoundTrip(c.sc, c.bursts) })},
-	{"corepin", show(func(c runCfg) fmt.Stringer { return core.RunCorePinning(100, c.seed) })},
+	{"corepin", show(func(c runCfg) fmt.Stringer { return core.RunCorePinning(100, c.sc.Seed) })},
 	{"stalequotes", show(func(c runCfg) fmt.Stringer {
 		lats := []sim.Duration{500 * sim.Nanosecond, 2 * sim.Microsecond, 5 * sim.Microsecond,
 			10 * sim.Microsecond, 20 * sim.Microsecond, 50 * sim.Microsecond}
-		return core.RunStaleQuotes(lats, 20, 15*sim.Microsecond, c.seed)
+		return core.RunStaleQuotes(lats, 20, 15*sim.Microsecond, c.sc.Seed)
 	})},
-	{"failover", func(c runCfg) []*manifest.Artifact {
-		r := core.RunFailover(c.sc, core.Seeds(c.seed, c.reps))
-		fmt.Println(r)
-		var arts []*manifest.Artifact
-		for _, run := range r.Runs {
-			arts = append(arts,
-				metaArtifact("failover", "", "spine", run.Seed,
-					[]manifest.LogRecord{{Name: "faults", Log: run.Spine.FaultLog}}, nil),
-				metaArtifact("failover", "", "wan-outage", run.Seed,
-					[]manifest.LogRecord{{Name: "faults", Log: run.WAN.FaultLog}}, nil))
-		}
-		return arts
-	}},
-	{"oefailover", func(c runCfg) []*manifest.Artifact {
-		r := core.RunOEFailover(c.sc, core.Seeds(c.seed, c.reps))
-		fmt.Println(r)
-		var arts []*manifest.Artifact
-		for _, run := range r.Runs {
-			for _, d := range run.Designs {
-				arts = append(arts, metaArtifact("oefailover", d.Design, "", run.Seed,
-					[]manifest.LogRecord{{Name: "faults", Log: d.FaultLog}}, nil))
-			}
-		}
-		return arts
-	}},
-	{"wanredundancy", func(c runCfg) []*manifest.Artifact {
-		r := core.RunWANRedundancy(c.sc, core.Seeds(c.seed, c.reps))
-		fmt.Println(r)
-		var arts []*manifest.Artifact
-		for _, run := range r.Runs {
-			for _, m := range run.Matrix {
-				if m.Artifact != nil {
-					arts = append(arts, m.Artifact)
-				}
-			}
-			// Designs[0] reuses the Matrix[3] run (same plant, same
-			// artifact) — only the fresh design-sweep cells add manifests.
-			for _, m := range run.Designs[1:] {
-				if m.Artifact != nil {
-					arts = append(arts, m.Artifact)
-				}
-			}
-		}
-		return arts
-	}},
-	{"exchangefailover", func(c runCfg) []*manifest.Artifact {
-		r := core.RunExchangeFailover(c.sc, core.Seeds(c.seed, c.reps))
-		fmt.Println(r)
-		var arts []*manifest.Artifact
-		for _, run := range r.Runs {
-			for _, d := range run.Designs {
-				arts = append(arts, metaArtifact("exchangefailover", d.Design, "", run.Seed,
-					[]manifest.LogRecord{{Name: "faults", Log: d.FaultLog}},
-					[]manifest.LogRecord{{Name: "promotion", Log: d.DecisionLog}}))
-			}
-		}
-		return arts
-	}},
+	{"failover", show(func(c runCfg) fmt.Stringer { return core.RunFailover(c.sc, core.Seeds(c.sc.Seed, c.reps)) })},
+	{"oefailover", show(func(c runCfg) fmt.Stringer { return core.RunOEFailover(c.sc, core.Seeds(c.sc.Seed, c.reps)) })},
+	{"wanredundancy", show(func(c runCfg) fmt.Stringer { return core.RunWANRedundancy(c.sc, core.Seeds(c.sc.Seed, c.reps)) })},
+	{"exchangefailover", show(func(c runCfg) fmt.Stringer { return core.RunExchangeFailover(c.sc, core.Seeds(c.sc.Seed, c.reps)) })},
 	{"attribution", func(c runCfg) []*manifest.Artifact {
 		r := core.RunAttribution(c.sc, c.bursts)
 		fmt.Println(r)
 		if c.tracePath != "" {
 			f, err := os.Create(c.tracePath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
-				os.Exit(1)
-			}
-			if err := r.WriteChrome(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
+			if err == nil {
+				err = r.WriteChrome(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
@@ -303,8 +206,7 @@ func main() {
 		}
 	}
 
-	cfg := runCfg{sc: sc, seed: *seed, frames: *frames, bursts: *bursts,
-		reps: *reps, tracePath: *tracePath}
+	cfg := runCfg{sc: sc, frames: *frames, bursts: *bursts, reps: *reps, tracePath: *tracePath}
 
 	// runOne executes the experiment; with -telemetry it brackets the run
 	// with a wall-clock/MemStats host collector and collects manifests (a
@@ -320,7 +222,7 @@ func main() {
 		arts := e.run(cfg)
 		host := hc.End()
 		if len(arts) == 0 {
-			arts = []*manifest.Artifact{metaArtifact(e.id, "", "", *seed, nil, nil)}
+			arts = []*manifest.Artifact{{Meta: manifest.Meta{Schema: manifest.Schema, Experiment: e.id, Seed: *seed}}}
 		}
 		for _, a := range arts {
 			a.Host = host

@@ -82,14 +82,7 @@ func TestStartProfiles(t *testing.T) {
 // -replications below 1 is a usage error: the binary exits 2 with one line
 // on stderr and runs nothing, for the per-seed experiments as for the rest.
 func TestReplicationsBelowOneRejected(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "tradenet")
-	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildTradenet(t)
 	for _, args := range [][]string{
 		{"-experiment", "failover", "-replications", "0"},
 		{"-experiment", "oefailover", "-replications", "0"},
@@ -112,4 +105,38 @@ func TestReplicationsBelowOneRejected(t *testing.T) {
 			t.Errorf("%v: stderr %q, want one line naming -replications", args, stderr.String())
 		}
 	}
+}
+
+// A trace file that cannot be written is an error: the binary exits 1 and
+// names the failure instead of claiming it wrote the file.
+func TestTraceExportWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes with")
+	}
+	cmd := exec.Command(buildTradenet(t), "-experiment", "attribution", "-trace", "/dev/full")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("err %v, want exit status 1", err)
+	}
+	if !strings.Contains(stderr.String(), "trace export") || strings.Contains(stdout.String(), "wrote /dev/full") {
+		t.Errorf("stderr %q, stdout tail %q: want a trace export error and no \"wrote\" line",
+			stderr.String(), stdout.String()[max(0, stdout.Len()-80):])
+	}
+}
+
+// buildTradenet compiles the command into a temporary directory.
+func buildTradenet(t *testing.T) string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "tradenet")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -14,9 +14,10 @@
 //   - a float compound assignment (+=, -=, *=, /=) inside a `range` over a
 //     map: the fold order is randomized per run,
 //   - a float compound assignment inside any loop of a function that fans
-//     out via core.RunParallel: that loop is a cross-worker merge path,
-//     where the sharded kernel will one day deliver per-region results —
-//     merge order must be pinned to index order and documented.
+//     out via core.RunParallel, directly or through the replication helper
+//     core.replicate: that loop is a cross-worker merge path, where the
+//     sharded kernel will one day deliver per-region results — merge order
+//     must be pinned to index order and documented.
 package floatorder
 
 import (
@@ -27,9 +28,12 @@ import (
 	"tradenet/internal/analysis"
 )
 
-// runParallelID is the fan-out harness whose result merges are
+// fanOuts are the fan-out harnesses whose result merges are
 // order-sensitive.
-const runParallelID = analysis.FuncID(analysis.ModulePath + "/internal/core.RunParallel")
+var fanOuts = map[analysis.FuncID]bool{
+	analysis.FuncID(analysis.ModulePath + "/internal/core.RunParallel"): true,
+	analysis.FuncID(analysis.ModulePath + "/internal/core.replicate"):   true,
+}
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
@@ -71,7 +75,7 @@ func checkDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
 	merges := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := analysis.CalleeFunc(info, call); fn != nil && analysis.IDOf(fn) == runParallelID {
+			if fn := analysis.CalleeFunc(info, call); fn != nil && fanOuts[analysis.IDOf(fn)] {
 				merges = true
 			}
 		}

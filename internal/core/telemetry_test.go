@@ -101,16 +101,18 @@ func TestTelemetryOffByDefault(t *testing.T) {
 	}
 }
 
-// TestWANRedundancyArtifact: an armed E22 cell carries time-resolved wan.*
-// series plus the fault timeline and decision log as structured records.
+// TestWANRedundancyArtifact: an armed E22 cell's manifest carries
+// time-resolved wan.* series plus the fault timeline and decision log as
+// structured records.
 func TestWANRedundancyArtifact(t *testing.T) {
-	sc := telemetryScenario()
-	sc.Seed = 3
-	sc.WANRedundancy = true
-	res := runWANRedundancy(StandardDesigns(sc)[0](), wanrTimelines()[0], wanrModes()[3])
-	art := res.Artifact
-	if art == nil {
+	rep := RunWANRedundancy(telemetryScenario(), []int64{3})
+	res := rep.Runs[0].Matrix[3]
+	if res.Artifact == nil {
 		t.Fatal("armed E22 cell emitted no artifact")
+	}
+	art := rep.Manifests()[3]
+	if art != res.Artifact {
+		t.Fatal("the cell's manifest is not its telemetry artifact")
 	}
 	if err := art.Validate(); err != nil {
 		t.Fatalf("artifact invalid: %v", err)
