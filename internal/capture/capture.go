@@ -117,29 +117,3 @@ func OrderingErrors(recs []Record) int {
 	}
 	return n
 }
-
-// LatencyProbe computes per-strategy decision latency from timestamps: the
-// stamped time an order left minus the stamped time of the most recent
-// market-data input (§2's definition).
-type LatencyProbe struct {
-	lastInput sim.Time
-	haveInput bool
-	Samples   []sim.Duration
-}
-
-// Input records a market-data arrival at stamped time t.
-func (p *LatencyProbe) Input(t sim.Time) {
-	p.lastInput = t
-	p.haveInput = true
-}
-
-// Order records an order transmission at stamped time t and returns the
-// measured decision latency (false if no input has been seen).
-func (p *LatencyProbe) Order(t sim.Time) (sim.Duration, bool) {
-	if !p.haveInput {
-		return 0, false
-	}
-	d := t.Sub(p.lastInput)
-	p.Samples = append(p.Samples, d)
-	return d, true
-}

@@ -107,22 +107,6 @@ func TestOrderingErrorRateFallsWithPrecision(t *testing.T) {
 	}
 }
 
-func TestLatencyProbe(t *testing.T) {
-	var p LatencyProbe
-	if _, ok := p.Order(sim.Time(100)); ok {
-		t.Fatal("order before any input should not measure")
-	}
-	p.Input(sim.Time(1000 * sim.Nanosecond))
-	p.Input(sim.Time(2000 * sim.Nanosecond)) // most recent input wins
-	d, ok := p.Order(sim.Time(3500 * sim.Nanosecond))
-	if !ok || d != 1500*sim.Nanosecond {
-		t.Fatalf("latency = %v ok=%v", d, ok)
-	}
-	if len(p.Samples) != 1 {
-		t.Fatalf("samples = %d", len(p.Samples))
-	}
-}
-
 func TestPeriodicSyncBoundsDrift(t *testing.T) {
 	// A PTP-style discipline loop: a 500ppb clock synced every 100ms to
 	// ±50ns keeps worst-case error bounded by precision + drift-per-period

@@ -147,19 +147,6 @@ func TestEndToEndTickToTrade(t *testing.T) {
 	if p.gw.Responses == 0 {
 		t.Fatal("no exchange responses relayed back")
 	}
-	// Decision latency was measured. Individual samples can be below the
-	// configured 1 µs: the probe measures against the *most recent* input
-	// (§2's definition), and during a burst newer messages land between
-	// trigger and transmission. At least one quiet-period sample must show
-	// the full decision cost.
-	if len(p.strat.Probe.Samples) == 0 {
-		t.Fatal("no latency samples")
-	}
-	for _, d := range p.strat.Probe.Samples {
-		if d <= 0 {
-			t.Fatalf("nonpositive decision latency %v", d)
-		}
-	}
 }
 
 func TestGatewayTranslatesIDsBothWays(t *testing.T) {

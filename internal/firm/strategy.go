@@ -1,7 +1,6 @@
 package firm
 
 import (
-	"tradenet/internal/capture"
 	"tradenet/internal/feed"
 	"tradenet/internal/market"
 	"tradenet/internal/mcast"
@@ -77,9 +76,6 @@ type Strategy struct {
 	// the outgoing order.
 	rxTrace *trace.Ctx
 
-	// Probe measures decision latency (order-out minus last md-in) using
-	// frame origin timestamps — the §2 measurement.
-	Probe capture.LatencyProbe
 	// mdOrigins tracks the network origin time of the message that
 	// triggered each decision, for end-to-end (tick-to-trade) latency.
 	LastTriggerOrigin sim.Time
@@ -219,7 +215,6 @@ func (s *Strategy) onFrame(_ *netsim.NIC, f *netsim.Frame) {
 	}
 	r.Consume(uf.Payload, func(m *feed.Msg) {
 		s.MsgsIn++
-		s.Probe.Input(s.sched.Now())
 		s.apply(m, f.Origin)
 	})
 	if t := s.rxTrace; t != nil {
@@ -340,7 +335,6 @@ func (s *Strategy) fireDecision(d *pendingDecision) {
 		s.liveOrders = append(s.liveOrders, s.nextOID)
 	}
 	s.OrdersSent++
-	s.Probe.Order(s.sched.Now())
 }
 
 func (s *Strategy) trigger(m *feed.Msg, book *market.Book, preBBO market.BBO) (market.Price, market.Qty, market.Side, bool) {

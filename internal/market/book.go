@@ -91,8 +91,7 @@ func findLevel(lvls []level, s Side, p Price) (i int, found bool) {
 // enqueue rests o, already in the slab at slot, at the tail of its level,
 // creating the level if it is the first order at that price.
 func (b *Book) enqueue(slot int32) {
-	slab := b.store.slab
-	o := &slab[slot]
+	o := b.store.at(slot)
 	lvls := b.side(o.Side)
 	i, found := findLevel(*lvls, o.Side, o.Price)
 	if !found {
@@ -103,7 +102,7 @@ func (b *Book) enqueue(slot int32) {
 	lvl := &(*lvls)[i]
 	o.prev, o.next, o.book = lvl.tail, 0, b.idx
 	if lvl.tail != 0 {
-		slab[lvl.tail].next = slot
+		b.store.at(lvl.tail).next = slot
 	} else {
 		lvl.head = slot
 	}
@@ -117,15 +116,15 @@ func (b *Book) enqueue(slot int32) {
 // level if that empties it, and frees the slot. The caller removes the id
 // from the index.
 func (b *Book) dequeue(lvls *[]level, i int, slot int32) {
-	slab := b.store.slab
-	o, lvl := &slab[slot], &(*lvls)[i]
+	s := b.store
+	o, lvl := s.at(slot), &(*lvls)[i]
 	if o.prev != 0 {
-		slab[o.prev].next = o.next
+		s.at(o.prev).next = o.next
 	} else {
 		lvl.head = o.next
 	}
 	if o.next != 0 {
-		slab[o.next].prev = o.prev
+		s.at(o.next).prev = o.prev
 	} else {
 		lvl.tail = o.prev
 	}
@@ -134,7 +133,7 @@ func (b *Book) dequeue(lvls *[]level, i int, slot int32) {
 	if lvl.n == 0 {
 		*lvls = append((*lvls)[:i], (*lvls)[i+1:]...)
 	}
-	b.store.release(slot)
+	s.release(slot)
 	b.n--
 }
 
@@ -186,7 +185,7 @@ func (b *Book) Add(o Order) []Fill {
 	opp := b.side(o.Side.Opposite())
 	for top := len(*opp) - 1; o.Qty > 0 && top >= 0 && crosses(o.Side, o.Price, (*opp)[top].price); top = len(*opp) - 1 {
 		slot := (*opp)[top].head
-		rest := &s.slab[slot]
+		rest := s.at(slot)
 		qty := min(o.Qty, rest.Qty)
 		fills = append(fills, Fill{Resting: rest.ID, Incoming: o.ID, Price: rest.Price, Qty: qty})
 		o.Qty -= qty
@@ -206,7 +205,7 @@ func (b *Book) Add(o Order) []Fill {
 			pos, _ = s.index.find(o.ID)
 		}
 		slot := s.alloc()
-		s.slab[slot].Order = o
+		s.at(slot).Order = o
 		b.enqueue(slot)
 		s.index.insert(pos, o.ID, slot)
 	}
@@ -219,7 +218,7 @@ func (b *Book) Add(o Order) []Fill {
 // this book; slot 0 means it does not.
 func (b *Book) resting(id OrderID) (pos int, slot int32) {
 	pos, slot = b.store.index.find(id)
-	if slot != 0 && b.store.slab[slot].book != b.idx {
+	if slot != 0 && b.store.at(slot).book != b.idx {
 		slot = 0
 	}
 	return pos, slot
@@ -233,7 +232,7 @@ func (b *Book) Cancel(id OrderID) bool {
 	if slot == 0 {
 		return false
 	}
-	o := &b.store.slab[slot]
+	o := b.store.at(slot)
 	lvls := b.side(o.Side)
 	i, _ := findLevel(*lvls, o.Side, o.Price)
 	b.store.index.remove(pos)
@@ -252,7 +251,7 @@ func (b *Book) Modify(id OrderID, price Price, qty Qty) ([]Fill, bool) {
 	if slot == 0 {
 		return nil, false
 	}
-	o := &b.store.slab[slot]
+	o := b.store.at(slot)
 	if price == o.Price && qty < o.Qty && qty > 0 {
 		lvls := *b.side(o.Side)
 		i, _ := findLevel(lvls, o.Side, o.Price)
@@ -297,5 +296,5 @@ func (b *Book) Lookup(id OrderID) (Order, bool) {
 	if slot == 0 {
 		return Order{}, false
 	}
-	return b.store.slab[slot].Order, true
+	return b.store.at(slot).Order, true
 }

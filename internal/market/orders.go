@@ -1,20 +1,29 @@
 package market
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Orders is the storage behind the books of one order-id space (one
 // exchange's ids): a slab of resting orders and one id → slot index shared by
-// every book made with NewBook. Both are flat slices of pointer-free values,
-// so the collector never scans them however many orders rest, and an id
-// resolves to its order — and through it to its book — in one probe.
+// every book made with NewBook. Both hold pointer-free values only, so the
+// collector never scans them however many orders rest, and an id resolves to
+// its order — and through it to its book — in one probe.
 type Orders struct {
-	// slab holds the resting orders; slot 0 is never used, so a zero slot
-	// index means "none" in every link and in the id index.
-	slab  []bookOrder
+	// segs is the slab: segment k holds the 16<<k slots from 16·(2^k−1) on,
+	// so a slot's segment is the bit length of slot+16 and growing the slab
+	// adds a segment without moving a resting order. Slot 0 is never used,
+	// so a zero slot index means "none" in every link and in the id index.
+	segs  [][]bookOrder
+	used  int32 // highest slot handed out so far
 	free  int32 // head of the free-slot chain, linked through bookOrder.next
 	index idTable
 	books []*Book
 }
+
+// segBits is log2 of the first segment's slot count.
+const segBits = 4
 
 // bookOrder is one slab slot: a resting order and its place in its level's
 // FIFO queue.
@@ -26,7 +35,7 @@ type bookOrder struct {
 
 // NewOrders returns an empty store.
 func NewOrders() *Orders {
-	return &Orders{slab: make([]bookOrder, 1), index: newIDTable()}
+	return &Orders{index: newIDTable()}
 }
 
 // NewBook returns an empty book for symbol whose orders live in s.
@@ -41,7 +50,7 @@ func (s *Orders) NewBook(symbol SymbolID) *Book {
 // reduce, execute, modify) find their book this way.
 func (s *Orders) BookOf(id OrderID) *Book {
 	if _, slot := s.index.find(id); slot != 0 {
-		return s.books[s.slab[slot].book]
+		return s.books[s.at(slot).book]
 	}
 	return nil
 }
@@ -49,27 +58,39 @@ func (s *Orders) BookOf(id OrderID) *Book {
 // Len returns the number of resting orders across all books of the store.
 func (s *Orders) Len() int { return s.index.n }
 
+// slotSeg returns the segment that holds slot and the slot's offset in it.
+func slotSeg(slot int32) (k int, off uint32) {
+	x := uint32(slot) + 1<<segBits
+	k = bits.Len32(x) - segBits - 1
+	return k, x - 1<<(k+segBits)
+}
+
+// at returns the order in slot. The pointer stays valid while the slot is
+// live: growth never moves a segment.
+func (s *Orders) at(slot int32) *bookOrder {
+	k, off := slotSeg(slot)
+	return &s.segs[k][off]
+}
+
 // alloc returns a free slab slot. Slots are int32: a store that would exceed
 // 2^31-1 resting orders panics.
 func (s *Orders) alloc() int32 {
 	if slot := s.free; slot != 0 {
-		s.free = s.slab[slot].next
+		s.free = s.at(slot).next
 		return slot
 	}
-	if len(s.slab) > math.MaxInt32 {
+	if s.used == math.MaxInt32 {
 		panic("market: order store exceeds 2^31-1 slots")
 	}
-	if len(s.slab) == cap(s.slab) {
-		// Double: on the way to a deep slab append's 1.25x steps allocate
-		// five times its final size, doubling twice.
-		s.slab = append(make([]bookOrder, 0, 2*cap(s.slab)), s.slab...)
+	s.used++
+	if k, _ := slotSeg(s.used); k == len(s.segs) {
+		s.segs = append(s.segs, make([]bookOrder, 1<<segBits<<k))
 	}
-	s.slab = append(s.slab, bookOrder{})
-	return int32(len(s.slab) - 1)
+	return s.used
 }
 
 func (s *Orders) release(slot int32) {
-	s.slab[slot].next = s.free
+	s.at(slot).next = s.free
 	s.free = slot
 }
 

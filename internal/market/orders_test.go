@@ -386,8 +386,37 @@ func diffRun(t *testing.T, seed int64) {
 			}
 		}
 	}
-	if len(store.slab) < 100 {
-		t.Fatalf("only %d slab slots were ever in use: the run did not grow the store", len(store.slab))
+	if store.used < 100 {
+		t.Fatalf("only %d slab slots were ever in use: the run did not grow the store", store.used)
+	}
+}
+
+// Growing the slab adds a segment and moves nothing: a resting order keeps
+// its address while the store grows past three segments (16 + 32 + 64 slots).
+func TestSlabGrowthKeepsOrdersInPlace(t *testing.T) {
+	b := NewBook(1)
+	b.Add(Order{ID: 1, Side: Buy, Price: 100, Qty: 10})
+	_, slot := b.resting(1)
+	p := b.store.at(slot)
+	for id := OrderID(2); id <= 300; id++ {
+		b.Add(Order{ID: id, Side: Buy, Price: 100 - Price(id%7), Qty: 1})
+	}
+	if n := len(b.store.segs); n <= 3 {
+		t.Fatalf("store has %d segments after 300 orders, want more than 3", n)
+	}
+	if _, now := b.resting(1); now != slot || b.store.at(slot) != p {
+		t.Fatal("growing the slab moved a resting order")
+	}
+	if p.ID != 1 || p.Qty != 10 {
+		t.Fatalf("the resting order reads %+v after growth", p.Order)
+	}
+	// And no two slots map to one cell.
+	seen := map[*bookOrder]int32{}
+	for s := int32(1); s <= b.store.used; s++ {
+		if prev, dup := seen[b.store.at(s)]; dup {
+			t.Fatalf("slots %d and %d map to one cell", prev, s)
+		}
+		seen[b.store.at(s)] = s
 	}
 }
 

@@ -112,7 +112,11 @@ func (p *Partitioner) Partition(id market.SymbolID) int {
 	case ByClass:
 		return int(p.u.Get(id).Class)
 	default:
-		// Fibonacci hashing spreads sequential ids uniformly.
+		// The id times 2^64/φ, wrapped to 64 bits, modulo N. This is not
+		// Fibonacci hashing, which keeps the product's top bits: % N keeps
+		// its low ones. For a power-of-two N the partition depends only on
+		// the id's low log2(N) bits, which the odd multiplier permutes, so
+		// any N consecutive ids land in N distinct partitions.
 		return int((uint64(id) * 11400714819323198485) % uint64(p.N))
 	}
 }

@@ -129,7 +129,7 @@ type queued struct {
 // frame itself, so a link failure can cancel the arrival and reclaim the
 // buffer. Deliveries complete FIFO (a later frame's start is this frame's
 // serialization end, and per-frame delay is serialization + a constant
-// propagation), so the head of the flight ring is always the next arrival.
+// propagation), so the head of the in-flight fifo is always the next arrival.
 type flight struct {
 	ev *sim.Event
 	f  *Frame
@@ -150,11 +150,10 @@ type Port struct {
 
 	sched *sim.Scheduler
 
-	// queue is a power-of-two ring buffer: steady-state enqueue/dequeue
-	// moves no memory and allocates nothing.
-	queue      []queued
-	qhead      int
-	qlen       int
+	// queue is the egress FIFO. Like fly, it grows by linking a chunk and
+	// keeps the chunks it empties, so steady-state enqueue/dequeue moves no
+	// memory and allocates nothing.
+	queue      fifo[queued]
 	queuedByte int
 	capBytes   int
 	// draining means a drain event for this port is pending in the
@@ -174,11 +173,9 @@ type Port struct {
 	// The zero value is up, so slab-allocated ports start healthy.
 	down bool
 
-	// fly is a power-of-two ring of frames committed to the wire, in
-	// transmit order; a link failure cancels and reclaims every entry.
-	fly     []flight
-	flyHead int
-	flyLen  int
+	// fly holds the frames committed to the wire, in transmit order; a link
+	// failure cancels and reclaims every entry.
+	fly fifo[flight]
 
 	// Tap, if set, observes every frame this port transmits, at the instant
 	// serialization starts — where a capture appliance's optical tap sits.
@@ -316,7 +313,7 @@ func (p *Port) Up() bool { return !p.down }
 
 // InFlight returns the number of frames committed to the wire and not yet
 // delivered.
-func (p *Port) InFlight() int { return p.flyLen }
+func (p *Port) InFlight() int { return p.fly.len() }
 
 // SetUp changes the transmit-side link state — the fault-injection entry
 // point (a whole-link failure downs both ends; fault.Plan does that).
@@ -332,8 +329,8 @@ func (p *Port) SetUp(up bool) {
 	}
 	if !up {
 		p.down = true
-		for p.flyLen > 0 {
-			ent := p.flyPop()
+		for p.fly.len() > 0 {
+			ent := p.fly.pop()
 			ent.ev.Cancel()
 			p.Lost++
 			if t := ent.f.Trace; t != nil {
@@ -347,7 +344,7 @@ func (p *Port) SetUp(up bool) {
 		return
 	}
 	p.down = false
-	if p.qlen > 0 && !p.draining {
+	if p.queue.len() > 0 && !p.draining {
 		p.startDrain()
 	}
 }
@@ -357,12 +354,9 @@ func (p *Port) SetUp(up bool) {
 // Purged and their buffers reclaimed; frames already on the wire are not
 // affected (SetUp(false) handles those).
 func (p *Port) PurgeQueue() int {
-	n := p.qlen
-	for p.qlen > 0 {
-		ent := p.queue[p.qhead]
-		p.queue[p.qhead] = queued{}
-		p.qhead = (p.qhead + 1) & (len(p.queue) - 1)
-		p.qlen--
+	n := p.queue.len()
+	for p.queue.len() > 0 {
+		ent := p.queue.pop()
 		p.Purged++
 		if t := ent.f.Trace; t != nil {
 			t.Record(p.Name, trace.CauseQueueing, p.sched.Now())
@@ -373,33 +367,6 @@ func (p *Port) PurgeQueue() int {
 	}
 	p.queuedByte = 0
 	return n
-}
-
-// flyPush records a frame committed to the wire.
-func (p *Port) flyPush(ev *sim.Event, f *Frame) {
-	if p.flyLen == len(p.fly) {
-		size := len(p.fly) * 2
-		if size == 0 {
-			size = 8
-		}
-		nf := make([]flight, size)
-		for i := 0; i < p.flyLen; i++ {
-			nf[i] = p.fly[(p.flyHead+i)&(len(p.fly)-1)]
-		}
-		p.fly = nf
-		p.flyHead = 0
-	}
-	p.fly[(p.flyHead+p.flyLen)&(len(p.fly)-1)] = flight{ev, f}
-	p.flyLen++
-}
-
-// flyPop removes and returns the oldest in-flight entry.
-func (p *Port) flyPop() flight {
-	ent := p.fly[p.flyHead]
-	p.fly[p.flyHead] = flight{}
-	p.flyHead = (p.flyHead + 1) & (len(p.fly) - 1)
-	p.flyLen--
-	return ent
 }
 
 // Send enqueues f for transmission. It reports false (and counts a drop)
@@ -428,11 +395,7 @@ func (p *Port) Send(f *Frame) bool {
 		f.Release()
 		return false
 	}
-	if p.qlen == len(p.queue) {
-		p.growQueue()
-	}
-	p.queue[(p.qhead+p.qlen)&(len(p.queue)-1)] = queued{f, p.sched.Now()}
-	p.qlen++
+	p.queue.push(queued{f, p.sched.Now()})
 	p.queuedByte += len(f.Data)
 	if p.queuedByte > p.QueueHighWaterBytes {
 		p.QueueHighWaterBytes = p.queuedByte
@@ -463,7 +426,7 @@ func (p *Port) startDrain() {
 // With none, no event is scheduled — the drain would find nothing to send —
 // and its place in the firing order is reserved for startDrain.
 func (p *Port) lineBusyUntil(t sim.Time) {
-	if p.qlen > 0 {
+	if p.queue.len() > 0 {
 		p.sched.AtArgs(t, sim.PrioDrain, drainPort, p, nil)
 		return
 	}
@@ -472,28 +435,14 @@ func (p *Port) lineBusyUntil(t sim.Time) {
 	p.lineFree = p.sched.Reserve(t, sim.PrioDrain)
 }
 
-// growQueue doubles the ring, unrolling it into insertion order.
-func (p *Port) growQueue() {
-	size := len(p.queue) * 2
-	if size == 0 {
-		size = 16
-	}
-	nq := make([]queued, size)
-	for i := 0; i < p.qlen; i++ {
-		nq[i] = p.queue[(p.qhead+i)&(len(p.queue)-1)]
-	}
-	p.queue = nq
-	p.qhead = 0
-}
-
 // deliverFrame is the arrival callback, scheduled closure-free via AtArgs.
 // Deliveries are FIFO per link, so the arriving frame is the sender's
-// oldest in-flight entry; the pop keeps the flight ring in lockstep.
+// oldest in-flight entry; the pop keeps the in-flight fifo in lockstep.
 func deliverFrame(a, b any) {
 	peer := a.(*Port)
 	f := b.(*Frame)
 	sender := peer.peer
-	if ent := sender.flyPop(); ent.f != f {
+	if ent := sender.fly.pop(); ent.f != f {
 		panic("netsim: in-flight ordering violated on " + sender.Name)
 	}
 	peer.RxFrames++
@@ -509,16 +458,13 @@ func drainPort(a, _ any) { a.(*Port).drain() }
 // frames are waiting. One invocation per frame: the scheduler's clock
 // provides the serialization spacing.
 func (p *Port) drain() {
-	if p.qlen == 0 || p.down {
+	if p.queue.len() == 0 || p.down {
 		// Purged while the drain was pending, or the link failed with frames
 		// still queued: pause. SetUp restarts the drain on recovery.
 		p.draining = false
 		return
 	}
-	ent := p.queue[p.qhead]
-	p.queue[p.qhead] = queued{}
-	p.qhead = (p.qhead + 1) & (len(p.queue) - 1)
-	p.qlen--
+	ent := p.queue.pop()
 	f := ent.f
 	p.queuedByte -= len(f.Data)
 
@@ -566,6 +512,6 @@ func (p *Port) drain() {
 		t.Record(p.Name, trace.CausePropagation, now.Add(delay))
 	}
 	ev := p.sched.AtArgs(now.Add(delay), sim.PrioDeliver, deliverFrame, p.peer, f)
-	p.flyPush(ev, f)
+	p.fly.push(flight{ev, f})
 	p.lineBusyUntil(now.Add(ser))
 }
