@@ -74,6 +74,40 @@ func TestReplicatedExperimentsMatchGolden(t *testing.T) {
 	}
 }
 
+// The §4 design comparison on the paper's 988-server plant: `tradenet
+// -experiment designs -scale paper -seed 1` must print exactly
+// testdata/designs.paper.seed1.golden. It is the one pin at paper scale, so
+// a change to a plant builder cannot move the table the paper argues from
+// without showing up here. It takes seconds, not milliseconds: -short skips
+// it, and so does -race, under which it would take minutes.
+func TestPaperScaleDesignsMatchGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("paper-scale plant: skipped under -short and -race")
+	}
+	e, ok := lookupExperiment("designs")
+	if !ok {
+		t.Fatal(`experiment "designs" not registered`)
+	}
+	cfg := defaultCfg(1)
+	cfg.sc = core.PaperScenario()
+	cfg.sc.Seed = 1
+	got := captureStdout(t, func() { e.run(cfg) })
+	path := filepath.Join("testdata", "designs.paper.seed1.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s\n%s", path, firstDiff(string(want), got))
+	}
+}
+
 // The run manifests of the four fault experiments at -replications 2 with
 // telemetry armed: each manifest's file name and the sha256 of its NDJSON
 // bytes (no hoststats line — the runner returns manifests before main
