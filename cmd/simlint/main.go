@@ -1,5 +1,5 @@
 // Command simlint is the multichecker for the simulator's determinism,
-// hot-path, and parallel-safety contracts. It runs ten analyzers over the
+// hot-path, and parallel-safety contracts. It runs eleven analyzers over the
 // given package patterns and exits nonzero if any contract is violated:
 //
 //	wallclock    no time.Now/Since/Sleep in internal/ sim code
@@ -12,12 +12,13 @@
 //	floatorder   no float accumulation in map-ordered or cross-worker merges
 //	ptrorder     no pointer-keyed maps, %p, or pointer-comparison sorts
 //	framemut     no writes into a netsim.Frame's Data outside package netsim
+//	deadcode     no function that no main, init or var initializer reaches
 //
-// sharedstate, goroutine, floatorder and ptrorder are interprocedural:
-// they share a call graph over the whole load (static + interface dispatch
-// + callback references) and a reachable-from-Run* taint, so run simlint
-// over ./... — single-package invocations see fewer callers and therefore
-// fewer findings.
+// sharedstate, goroutine, floatorder, ptrorder and deadcode are
+// interprocedural: they share a call graph (static + interface dispatch +
+// callback references + package-level var initializers) that always spans
+// the whole module plus bench/, whatever patterns are given; findings are
+// reported only on the packages the patterns name.
 //
 // Usage:
 //
@@ -44,6 +45,7 @@ import (
 	"path/filepath"
 
 	"tradenet/internal/analysis"
+	"tradenet/internal/analysis/deadcode"
 	"tradenet/internal/analysis/floatorder"
 	"tradenet/internal/analysis/framemut"
 	"tradenet/internal/analysis/globalrand"
@@ -68,6 +70,7 @@ var analyzers = []*analysis.Analyzer{
 	floatorder.Analyzer,
 	ptrorder.Analyzer,
 	framemut.Analyzer,
+	deadcode.Analyzer,
 }
 
 // jsonFinding is the -json wire shape: one object per line, stable field
@@ -94,7 +97,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := analysis.Load(".", patterns...)
+	pkgs, err := analysis.LoadProgram(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)

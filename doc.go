@@ -6,7 +6,7 @@
 // real wire-format codecs and picosecond-resolution network models.
 //
 // The implementation lives under internal/; runnable entry points are
-// cmd/tradenet (experiment harness), cmd/feedgen, cmd/replay, and the
+// cmd/tradenet (experiment harness), cmd/replay, cmd/pcapdump, and the
 // programs in examples/. `tradenet -experiment <id>` regenerates every
 // table and figure; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for paper-versus-measured results.

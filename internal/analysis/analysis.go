@@ -2,14 +2,13 @@
 // modeled on golang.org/x/tools/go/analysis, built for the simulator's
 // determinism and hot-path contracts (see DESIGN.md "Determinism contract &
 // simlint"). The module is offline-only, so rather than depending on
-// x/tools it carries the minimal pieces the five simlint analyzers need:
+// x/tools it carries the minimal pieces the simlint analyzers need:
 // an Analyzer/Pass/Diagnostic shape, a package loader driven by
 // `go list -export` (driver.go), and the `//simlint:allow` escape-hatch
 // directive (directive.go).
 //
-// The five analyzers live in subpackages — wallclock, globalrand, maporder,
-// hotalloc, unitmix — and cmd/simlint is the multichecker that runs them
-// over package patterns.
+// The analyzers live in subpackages, one each, and cmd/simlint is the
+// multichecker that runs them over package patterns.
 package analysis
 
 import (
@@ -60,18 +59,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzers applies every analyzer to every package, resolves
-// //simlint:allow directives (suppressing covered findings, reporting
-// unjustified or stale directives), and returns the surviving diagnostics.
-// One Program (call graph + Run*-reachability) is built per call and
-// shared by every pass, so the interprocedural analyzers resolve dispatch
-// once per load. Diagnostics come back in a deterministic order — by file,
+// RunAnalyzers applies every analyzer to every package not marked
+// GraphOnly, resolves //simlint:allow directives (suppressing covered
+// findings, reporting unjustified or stale directives), and returns the
+// surviving diagnostics. One Program (call graph and reachability sets)
+// is built per call and shared by every pass, so the interprocedural
+// analyzers resolve dispatch once per load. Diagnostics come back in a deterministic order — by file,
 // line, analyzer name, column, message — so CI diffs and -json output are
 // stable across runs and analyzer registration order.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog := &Program{Pkgs: pkgs}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
+		if pkg.GraphOnly {
+			continue
+		}
 		var raw []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{

@@ -35,6 +35,8 @@ type expectation struct {
 // importPath (which the analyzers' path-sensitive logic sees), runs the
 // analyzer, and reports mismatches against the fixture's // want comments.
 // deps lists the import paths the fixture needs export data for.
+//
+//simlint:allow deadcode: test infrastructure, called by every analyzer's _test.go
 func Run(t *testing.T, dir, importPath string, deps []string, a *analysis.Analyzer) {
 	t.Helper()
 	pkg, err := analysis.LoadDir(dir, importPath, deps)

@@ -2,16 +2,18 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Interprocedural layer: a call graph over every package of one Load, and
-// the reachable-from-Run* taint the parallel-safety analyzers (sharedstate,
-// floatorder) share. The graph is built once per Load — RunAnalyzers hands
-// every Pass the same *Program — so the four analyzers pay for resolution
-// a single time per `go list -export` load.
+// Interprocedural layer: a call graph over every package of one Load, the
+// reachable-from-Run* taint the parallel-safety analyzers (sharedstate,
+// floatorder) share, and the reachable-from-any-entry-point set deadcode
+// reports against. The graph is built once per Load — RunAnalyzers hands
+// every Pass the same *Program — so the analyzers pay for resolution a
+// single time per `go list -export` load.
 //
 // Identity across type-checker universes is the one real subtlety. Load
 // type-checks each target package from source, but a target's *imports*
@@ -21,6 +23,13 @@ import (
 // therefore cannot key the graph; a stable textual FuncID can, and
 // interface satisfaction is likewise matched on method name plus a
 // fully-qualified signature string rather than types.Implements.
+//
+// Package-level vars with an initializer are nodes too, keyed like a
+// package-level function ("pkg/path.name"). A var's edges are the functions
+// its initializer calls or mentions, closures included, and every function
+// that mentions the var gets an edge to it. That is how a table of
+// closures (an experiment registry, a handler map) carries control from
+// whoever reads the table to the code inside it.
 
 // FuncID names a function or method unambiguously across universes:
 // "pkg/path.Name" for package-level functions, "pkg/path.(Recv).Name" for
@@ -54,10 +63,12 @@ func IDOf(fn *types.Func) FuncID {
 	return FuncID(path + ".(" + name + ")." + fn.Name())
 }
 
-// CGNode is one function declared in a loaded source package.
+// CGNode is one function, or one package-level var with an initializer,
+// declared in a loaded source package.
 type CGNode struct {
 	ID      FuncID
-	Decl    *ast.FuncDecl
+	Name    string
+	Decl    *ast.FuncDecl // nil for a var
 	Pkg     *Package
 	Callees []FuncID // sorted, deduplicated
 }
@@ -83,11 +94,21 @@ func sigString(fn *types.Func) string {
 	if !ok {
 		return ""
 	}
-	// Drop the receiver: interface methods carry the interface as receiver,
-	// concrete methods their own type, and the comparison must not see
-	// either.
-	bare := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
+	// Drop the receiver and the parameter and result names: interface
+	// methods carry the interface as receiver, concrete methods their own
+	// type, and an implementation may name its parameters differently from
+	// the interface it satisfies. Only the types must match.
+	bare := types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic())
 	return types.TypeString(bare, func(p *types.Package) string { return p.Path() })
+}
+
+// unnamed returns t with every variable's name dropped.
+func unnamed(t *types.Tuple) *types.Tuple {
+	vars := make([]*types.Var, t.Len())
+	for i := range vars {
+		vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
+	}
+	return types.NewTuple(vars...)
 }
 
 // BuildCallGraph constructs the graph for pkgs: static dispatch through
@@ -133,37 +154,77 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		}
 	}
 
+	// add records a node. Several init functions, or several blank vars, of
+	// one package share an ID; their edges are merged into one node.
+	add := func(node *CGNode) {
+		if prev, ok := cg.Nodes[node.ID]; ok {
+			node.Callees = sortedIDs(append(prev.Callees, node.Callees...))
+		}
+		cg.Nodes[node.ID] = node
+	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj, ok := pkg.TypesInfo.Defs[d.Name].(*types.Func)
+					if !ok || d.Body == nil {
+						continue
+					}
+					add(&CGNode{ID: IDOf(obj), Name: d.Name.Name, Decl: d, Pkg: pkg,
+						Callees: collectEdges(pkg, methodIndex, d.Body)})
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						vs, ok := spec.(*ast.ValueSpec)
+						if !ok || len(vs.Values) == 0 || d.Tok != token.VAR {
+							continue
+						}
+						roots := make([]ast.Node, len(vs.Values))
+						for i, v := range vs.Values {
+							roots[i] = v
+						}
+						callees := collectEdges(pkg, methodIndex, roots...)
+						for _, name := range vs.Names {
+							add(&CGNode{ID: VarID(pkg.Types, name.Name), Name: name.Name, Pkg: pkg, Callees: callees})
+						}
+					}
 				}
-				obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := &CGNode{ID: IDOf(obj), Decl: fd, Pkg: pkg}
-				node.Callees = collectEdges(pkg, fd, methodIndex)
-				cg.Nodes[node.ID] = node
 			}
 		}
 	}
 	return cg
 }
 
-// collectEdges walks one declaration body (function literals included —
-// their calls are attributed to the enclosing declaration) and returns its
-// outgoing edges.
-func collectEdges(pkg *Package, fd *ast.FuncDecl, methodIndex map[string][]concreteMethod) []FuncID {
+// VarID returns the node ID of the package-level var name in pkg.
+func VarID(pkg *types.Package, name string) FuncID {
+	return FuncID(pkg.Path() + "." + name)
+}
+
+// pkgVar returns the package-level var obj names, or nil.
+func pkgVar(obj types.Object) *types.Var {
+	v, ok := obj.(*types.Var)
+	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+		return nil
+	}
+	return v
+}
+
+// collectEdges walks declaration bodies or var initializers (function
+// literals included — their calls are attributed to the enclosing
+// declaration) and returns their outgoing edges.
+func collectEdges(pkg *Package, methodIndex map[string][]concreteMethod, roots ...ast.Node) []FuncID {
 	info := pkg.TypesInfo
 	seen := map[FuncID]bool{}
+	inspect := func(f func(ast.Node) bool) {
+		for _, r := range roots {
+			ast.Inspect(r, f)
+		}
+	}
 
 	// First pass: remember which identifiers are the operator of a direct
 	// call, so the reference walk below doesn't double-count them.
 	calleeIdents := map[*ast.Ident]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -177,7 +238,7 @@ func collectEdges(pkg *Package, fd *ast.FuncDecl, methodIndex map[string][]concr
 		return true
 	})
 
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if IsConversion(info, n) {
@@ -196,6 +257,12 @@ func collectEdges(pkg *Package, fd *ast.FuncDecl, methodIndex map[string][]concr
 				}
 			}
 		case *ast.Ident:
+			if v := pkgVar(info.Uses[n]); v != nil {
+				// A package-level var read, written or called: its
+				// initializer's code runs on the mentioner's behalf.
+				seen[VarID(v.Pkg(), v.Name())] = true
+				return true
+			}
 			if calleeIdents[n] {
 				return true
 			}
@@ -219,8 +286,13 @@ func collectEdges(pkg *Package, fd *ast.FuncDecl, methodIndex map[string][]concr
 	for id := range seen {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedIDs(out)
+}
+
+// sortedIDs sorts ids and drops duplicates.
+func sortedIDs(ids []FuncID) []FuncID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // recvIsInterface reports whether fn is declared on an interface (an
@@ -247,13 +319,14 @@ func implementersOf(fn *types.Func, methodIndex map[string][]concreteMethod) []F
 }
 
 // Program is the whole-load view shared by every Pass of one RunAnalyzers
-// call: the loaded packages, their call graph, and the Run*-reachability
-// taint, each built once on first use.
+// call: the loaded packages, their call graph, and the two reachability
+// sets, each built once on first use.
 type Program struct {
 	Pkgs []*Package
 
 	cg    *CallGraph
 	reach map[FuncID]bool
+	live  map[FuncID]bool
 }
 
 // CallGraph returns the load's call graph, building it on first call.
@@ -264,58 +337,114 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.cg
 }
 
-// runReach computes the set of functions reachable from the run entry
-// points: every exported function or method in a module package whose name
-// begins with "Run" (RunParallel, RunFailover, Scheduler.RunUntil, ...).
-// Anything one of those can reach — including through callbacks and
-// interface dispatch — executes inside a simulation run and is bound by
-// the parallel-safety contract.
-func (p *Program) runReach() map[FuncID]bool {
-	if p.reach != nil {
-		return p.reach
-	}
+// reachFrom returns every node reachable from the nodes isRoot accepts.
+func (p *Program) reachFrom(isRoot func(*CGNode) bool) map[FuncID]bool {
 	cg := p.CallGraph()
-	p.reach = map[FuncID]bool{}
+	seen := map[FuncID]bool{}
 	var queue []FuncID
-	var roots []FuncID
-	for id, n := range cg.Nodes {
-		name := n.Decl.Name.Name
-		if strings.HasPrefix(name, "Run") && ast.IsExported(name) &&
-			strings.HasPrefix(n.Pkg.ImportPath, ModulePath) {
-			roots = append(roots, id)
+	ids := make([]FuncID, 0, len(cg.Nodes))
+	for id := range cg.Nodes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if isRoot(cg.Nodes[id]) {
+			seen[id] = true
+			queue = append(queue, id)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, id := range roots {
-		p.reach[id] = true
-		queue = append(queue, id)
-	}
 	for len(queue) > 0 {
-		id := queue[0]
+		n, ok := cg.Nodes[queue[0]]
 		queue = queue[1:]
-		n, ok := cg.Nodes[id]
 		if !ok {
 			continue
 		}
 		for _, callee := range n.Callees {
-			if !p.reach[callee] {
-				p.reach[callee] = true
+			if !seen[callee] {
+				seen[callee] = true
 				queue = append(queue, callee)
 			}
 		}
 	}
-	return p.reach
+	return seen
 }
 
-// RunReachable reports whether id executes inside some Run* entry point.
-func (p *Program) RunReachable(id FuncID) bool { return p.runReach()[id] }
-
-// ReachableDecl reports whether the function declared by fd (in the
-// package pass analyzes) is reachable from a Run* entry point.
-func (pass *Pass) ReachableDecl(fd *ast.FuncDecl) bool {
-	obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
+// RunReachable reports whether id executes inside a run entry point: an
+// exported function or method in a module package whose name begins with
+// "Run" (RunParallel, RunFailover, Scheduler.RunUntil, ...). Anything one of
+// those can reach — including through callbacks, interface dispatch and
+// package-level tables of closures — executes inside a simulation run and
+// is bound by the parallel-safety contract.
+func (p *Program) RunReachable(id FuncID) bool {
+	if p.reach == nil {
+		p.reach = p.reachFrom(func(n *CGNode) bool {
+			return n.Decl != nil && strings.HasPrefix(n.Name, "Run") && ast.IsExported(n.Name) &&
+				strings.HasPrefix(n.Pkg.ImportPath, ModulePath)
+		})
 	}
-	return pass.Prog.RunReachable(IDOf(obj))
+	return p.reach[id]
+}
+
+// stdlibCalled are the methods the standard library calls through
+// interfaces declared outside the loaded packages (fmt.Stringer, error,
+// fmt.Formatter, sort.Interface, io.Reader/Writer, json.Marshaler), which
+// interface dispatch in the graph cannot see.
+var stdlibCalled = map[string]bool{
+	"String": true, "Error": true, "Format": true,
+	"Len": true, "Less": true, "Swap": true,
+	"Read": true, "Write": true, "MarshalJSON": true,
+}
+
+// Live reports whether id can execute from some entry point of the loaded
+// program: main and init of every package, every package-level var
+// initializer, and the methods the standard library calls through its own
+// interfaces (stdlibCalled). Tests are not loaded, so a function only a
+// test calls is not live.
+func (p *Program) Live(id FuncID) bool {
+	if p.live == nil {
+		p.live = p.reachFrom(func(n *CGNode) bool {
+			switch {
+			case n.Decl == nil:
+				return true
+			case n.Decl.Recv != nil:
+				return stdlibCalled[n.Name]
+			default:
+				return n.Name == "init" || (n.Name == "main" && n.Pkg.Types.Name() == "main")
+			}
+		})
+	}
+	return p.live[id]
+}
+
+// RunReachableCode calls visit with the body of every function in the
+// pass's package that a Run* entry point reaches, and with the initializer
+// of every package-level var such code mentions: the closures in it run
+// inside a run too. name is the function's or the var's name.
+func (pass *Pass) RunReachableCode(visit func(name string, body ast.Node)) {
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				obj, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
+				if ok && d.Body != nil && pass.Prog.RunReachable(IDOf(obj)) {
+					visit(d.Name.Name, d.Body)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok || d.Tok != token.VAR {
+						continue
+					}
+					for _, name := range vs.Names {
+						if pass.Prog.RunReachable(VarID(pass.Pkg, name.Name)) {
+							for _, v := range vs.Values {
+								visit(name.Name, v)
+							}
+							break
+						}
+					}
+				}
+			}
+		}
+	}
 }

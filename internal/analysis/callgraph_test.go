@@ -42,12 +42,14 @@ func TestCallGraphEdges(t *testing.T) {
 		return out
 	}
 
-	// Interface dispatch: dispatch's Handle call resolves to both
-	// implementations but not the signature-mismatched decoy.
+	// Interface dispatch: dispatch's Handle call resolves to all three
+	// implementations, whatever their parameter names, but not the
+	// signature-mismatched decoy.
 	d := edges(fixturePath + ".dispatch")
 	for _, want := range []string{
 		fixturePath + ".(Doubler).Handle",
 		fixturePath + ".(Accum).Handle",
+		fixturePath + ".(Renamed).Handle",
 	} {
 		if !d[want] {
 			t.Errorf("dispatch should have an interface-dispatch edge to %s; has %v", want, d)
@@ -74,6 +76,15 @@ func TestCallGraphEdges(t *testing.T) {
 	if !r[fixturePath+".(Counter).Bump"] {
 		t.Errorf("RunFixture should reference the method value Counter.Bump; has %v", r)
 	}
+
+	// Package-level vars: the function that mentions one gets an edge to
+	// its node, and the node's edges are its initializer's calls.
+	if !r[fixturePath+".registry"] {
+		t.Errorf("RunFixture should have an edge to the var registry; has %v", r)
+	}
+	if !edges(fixturePath + ".registry")[fixturePath+".fromRegistry"] {
+		t.Error("registry's initializer should call fromRegistry")
+	}
 }
 
 // TestRunReachability asserts the taint: everything the run root touches
@@ -85,13 +96,14 @@ func TestRunReachability(t *testing.T) {
 	reachable := []string{
 		".RunFixture", ".leaf", ".invoke", ".viaValue", ".(Counter).Bump",
 		".ping", ".pong", ".dispatch", ".(Doubler).Handle", ".(Accum).Handle",
+		".(Renamed).Handle", ".registry", ".fromRegistry",
 	}
 	for _, suffix := range reachable {
 		if !prog.RunReachable(analysis.FuncID(fixturePath + suffix)) {
 			t.Errorf("%s should be reachable from RunFixture", suffix)
 		}
 	}
-	for _, suffix := range []string{".orphan", ".orphanCallee", ".(Decoy).Handle"} {
+	for _, suffix := range []string{".orphan", ".orphanCallee", ".(Decoy).Handle", ".unusedTable"} {
 		if prog.RunReachable(analysis.FuncID(fixturePath + suffix)) {
 			t.Errorf("%s must not be reachable from RunFixture", suffix)
 		}

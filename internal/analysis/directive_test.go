@@ -63,3 +63,27 @@ func TestLoad(t *testing.T) {
 		t.Fatal("loaded package is missing type information for Scheduler")
 	}
 }
+
+// TestLoadProgram checks that the graph spans the whole module and the
+// benchmark module whatever the patterns name, and that only the named
+// packages are reported on.
+func TestLoadProgram(t *testing.T) {
+	pkgs, err := analysis.LoadProgram(".", "tradenet/internal/sim")
+	if err != nil {
+		t.Fatalf("LoadProgram: %v", err)
+	}
+	reported := map[string]bool{}
+	for _, p := range pkgs {
+		reported[p.ImportPath] = !p.GraphOnly
+	}
+	for _, path := range []string{"tradenet/internal/sim", "tradenet/internal/core", "tradenet/cmd/tradenet", "tradenet/bench"} {
+		if _, ok := reported[path]; !ok {
+			t.Errorf("LoadProgram did not load %s", path)
+		}
+	}
+	for path, r := range reported {
+		if r != (path == "tradenet/internal/sim") {
+			t.Errorf("%s: reported = %v", path, r)
+		}
+	}
+}

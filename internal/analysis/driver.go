@@ -24,6 +24,10 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
+
+	// GraphOnly marks a package loaded only so the call graph sees its
+	// calls: analyzers do not report on it.
+	GraphOnly bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -135,11 +139,50 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// LoadProgram loads the packages patterns name (relative to dir) together
+// with every other package of their module and of the benchmark module in
+// its bench/ directory, if there is one. The extra packages are marked
+// GraphOnly: they give the call graph its real callers and entry points, so
+// reachability does not depend on which patterns were named, but nothing is
+// reported on them.
+func LoadProgram(dir string, patterns ...string) ([]*Package, error) {
+	root, err := exec.Command("go", "-C", dir, "env", "GOMOD").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go env GOMOD: %v", err)
+	}
+	modDir := filepath.Dir(string(bytes.TrimSpace(root)))
+	named, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	report := map[string]bool{}
+	for _, p := range named {
+		report[p.ImportPath] = !p.DepOnly && !p.Standard
+	}
+	pkgs, err := Load(modDir, "./...")
+	if err != nil {
+		return nil, err
+	}
+	if _, err := os.Stat(filepath.Join(modDir, "bench", "go.mod")); err == nil {
+		bench, err := Load(filepath.Join(modDir, "bench"), "./...")
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, bench...)
+	}
+	for _, p := range pkgs {
+		p.GraphOnly = !report[p.ImportPath]
+	}
+	return pkgs, nil
+}
+
 // LoadDir parses and type-checks the single package formed by files (under
 // dir) as importPath, resolving its imports through export data for deps
 // and everything deps transitively needs. It exists for analysistest
 // fixtures, which live under testdata/ where the go tool will not list
 // them.
+//
+//simlint:allow deadcode: test infrastructure, called by analysistest.Run and the call-graph tests
 func LoadDir(dir, importPath string, deps []string) (*Package, error) {
 	exports := map[string]string{}
 	if len(deps) > 0 {

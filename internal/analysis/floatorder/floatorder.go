@@ -52,28 +52,17 @@ var floatAccumOps = map[token.Token]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !pass.ReachableDecl(fd) {
-				continue
-			}
-			checkDecl(pass, fd)
-		}
-	}
+	pass.RunReachableCode(func(name string, body ast.Node) { checkDecl(pass, name, body) })
 	return nil
 }
 
-func checkDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkDecl(pass *analysis.Pass, fn string, body ast.Node) {
 	info := pass.TypesInfo
 
 	// Does this function fan out via RunParallel? If so, every loop in it
 	// is treated as a potential cross-worker merge.
 	merges := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if fn := analysis.CalleeFunc(info, call); fn != nil && fanOuts[analysis.IDOf(fn)] {
 				merges = true
@@ -112,10 +101,10 @@ func checkDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
 				switch {
 				case mapRange > 0:
 					pass.Reportf(n.Pos(),
-						"float accumulation in %s driven by map iteration; fold order is randomized per run — sum integers or iterate sorted keys", fd.Name.Name)
+						"float accumulation in %s driven by map iteration; fold order is randomized per run — sum integers or iterate sorted keys", fn)
 				case merges && loops > 0:
 					pass.Reportf(n.Pos(),
-						"float accumulation in cross-worker merge %s (fans out via RunParallel); pin the fold to index order and justify with //simlint:allow floatorder, or sum integers", fd.Name.Name)
+						"float accumulation in cross-worker merge %s (fans out via RunParallel); pin the fold to index order and justify with //simlint:allow floatorder, or sum integers", fn)
 				}
 			}
 		}
@@ -133,9 +122,7 @@ func checkDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		})
 	}
-	for _, s := range fd.Body.List {
-		visit(s, 0, 0)
-	}
+	visit(body, 0, 0)
 }
 
 // isFloat reports whether t's core type is a floating-point kind.

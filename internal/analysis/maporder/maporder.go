@@ -11,7 +11,7 @@
 //
 //   - call a sim.Scheduler scheduling method (At/AtArgs/AtArgs3/...),
 //   - emit frames or program forwarding state (netsim Port.Send,
-//     NIC.Send/SendBytes, Stream.Write, device JoinGroup/LeaveGroup/Learn —
+//     NIC.Send, Stream.Write, device JoinGroup/LeaveGroup/Learn —
 //     mroute/FIB insertion order decides hardware-vs-software placement
 //     when tables overflow),
 //   - invoke a func-typed value (delivery callbacks: in this event-driven
@@ -39,7 +39,7 @@ var schedMethods = map[string]bool{
 // emitters are methods whose call order is schedule- or placement-visible,
 // keyed by defining package.
 var emitters = map[string]map[string]bool{
-	analysis.NetsimPath: {"Send": true, "SendBytes": true, "Write": true, "HandleFrame": true},
+	analysis.NetsimPath: {"Send": true, "Write": true, "HandleFrame": true},
 	analysis.DevicePath: {"JoinGroup": true, "LeaveGroup": true, "Learn": true},
 }
 

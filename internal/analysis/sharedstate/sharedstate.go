@@ -40,38 +40,27 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !pass.ReachableDecl(fd) {
-				continue
-			}
-			checkBody(pass, fd)
-		}
-	}
+	pass.RunReachableCode(func(name string, body ast.Node) { checkBody(pass, name, body) })
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkBody(pass *analysis.Pass, fn string, body ast.Node) {
 	info := pass.TypesInfo
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if v := pkgLevelVar(info, lhs); v != nil {
 					pass.Reportf(lhs.Pos(),
 						"write to package-level var %s.%s from run-reachable %s; runs must not share mutable state — move it into per-run state",
-						v.Pkg().Name(), v.Name(), fd.Name.Name)
+						v.Pkg().Name(), v.Name(), fn)
 				}
 			}
 		case *ast.IncDecStmt:
 			if v := pkgLevelVar(info, n.X); v != nil {
 				pass.Reportf(n.Pos(),
 					"write to package-level var %s.%s from run-reachable %s; runs must not share mutable state — move it into per-run state",
-					v.Pkg().Name(), v.Name(), fd.Name.Name)
+					v.Pkg().Name(), v.Name(), fn)
 			}
 		case *ast.UnaryExpr:
 			if n.Op != token.AND {
@@ -80,7 +69,7 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if v := pkgLevelVar(info, n.X); v != nil {
 				pass.Reportf(n.Pos(),
 					"address of package-level var %s.%s taken in run-reachable %s; the alias enables shared writes across runs",
-					v.Pkg().Name(), v.Name(), fd.Name.Name)
+					v.Pkg().Name(), v.Name(), fn)
 			}
 		case *ast.CallExpr:
 			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
@@ -104,7 +93,7 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 			}
 			pass.Reportf(n.Pos(),
 				"pointer-receiver call %s.%s on package-level var %s.%s in run-reachable %s; shared mutable state across runs",
-				v.Name(), fn.Name(), v.Pkg().Name(), v.Name(), fd.Name.Name)
+				v.Name(), fn.Name(), v.Pkg().Name(), v.Name(), fn)
 		}
 		return true
 	})

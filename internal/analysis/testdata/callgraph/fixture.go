@@ -23,6 +23,13 @@ type Accum struct{ total int }
 // Handle accumulates.
 func (a *Accum) Handle(n int) int { a.total += n; return a.total }
 
+// Renamed implements Handler with its parameter and result named
+// differently from the interface's: only the types must match.
+type Renamed struct{}
+
+// Handle negates.
+func (Renamed) Handle(x int) (out int) { return -x }
+
 // Decoy has a Handle with a different signature: it must NOT be resolved
 // as an implementation of Handler.
 type Decoy struct{}
@@ -72,6 +79,18 @@ type Counter struct{ n int }
 // Bump is passed as a bound method value from the run root.
 func (c *Counter) Bump() int { c.n++; return c.n }
 
+// registry is a package-level table of closures: its initializer's calls
+// are the var's edges, and whoever mentions the var reaches them.
+var registry = map[string]func() int{
+	"leaf": func() int { return fromRegistry() },
+}
+
+// fromRegistry is called only inside registry's initializer.
+func fromRegistry() int { return 10 }
+
+// unusedTable is a table nothing mentions.
+var unusedTable = []func() int{orphan}
+
 // RunFixture is the run entry point the taint starts from.
 func RunFixture() int {
 	var c Counter
@@ -82,5 +101,6 @@ func RunFixture() int {
 	var h Handler = &Accum{}
 	total += dispatch(h, 2)
 	total += dispatch(Doubler{}, 3)
+	total += registry["leaf"]()
 	return total
 }

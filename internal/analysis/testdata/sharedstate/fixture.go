@@ -55,3 +55,35 @@ func unreachable() {
 	counter = 99
 	pool.Put(nil)
 }
+
+// experiment is shaped like core's faultExperiment: the code of a run is a
+// closure in a package-level var's initializer.
+type experiment struct {
+	run func(seed int64) int
+}
+
+// tally is package-level mutable state the closure below writes.
+var tally int
+
+// spineFailover's closure runs whenever RunExperiment reads the var, so its
+// write fires, and so does the write in the function it calls.
+var spineFailover = &experiment{run: func(seed int64) int {
+	tally++ // want `write to package-level var fixture.tally from run-reachable spineFailover`
+	return closureCallee(seed)
+}}
+
+// closureCallee is reached only from the closure in spineFailover.
+func closureCallee(seed int64) int {
+	tally += int(seed) // want `write to package-level var fixture.tally from run-reachable closureCallee`
+	return tally
+}
+
+// idleTable's closure writes shared state, but no run-reachable code
+// mentions the var: silent.
+var idleTable = &experiment{run: func(int64) int {
+	tally = 0
+	return tally
+}}
+
+// RunExperiment is the taint root for the experiment table.
+func RunExperiment() int { return spineFailover.run(1) }

@@ -1,3 +1,6 @@
+// Package capture writes and reads the classic libpcap format, so taps on
+// the simulated network produce files Wireshark and tcpdump open directly
+// (§2: trading firms record their traffic with precise timestamps).
 package capture
 
 import (

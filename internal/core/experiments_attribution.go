@@ -111,11 +111,6 @@ func measureAttribution(p *Plant, bursts int) DesignAttribution {
 	reg.RegisterInt("trace.created", func() int64 { return int64(a.Created) })
 	reg.RegisterInt("trace.finished", func() int64 { return int64(a.Finished) })
 	for e := 1; e < trace.NumEnds; e++ {
-		if trace.End(e) == trace.EndDeduped || trace.End(e) == trace.EndReconstructed {
-			// WAN-mirror terminals (E22): the attribution plants never trace
-			// the mirror, so these stay zero — omit them from the dump.
-			continue
-		}
 		e := e
 		reg.RegisterInt("trace.end."+trace.End(e).String(), func() int64 { return int64(a.ByEnd[e]) })
 	}

@@ -230,10 +230,6 @@ func (c *HACluster) Crash() {
 		c.Primary.FaultName(), c.Journal.Seq(), c.Journal.Records)
 }
 
-// Restart implements fault.Process; the HA design promotes the standby
-// instead of resurrecting a primary, so this only clears the crash flag.
-func (c *HACluster) Restart() { c.Primary.Restart() }
-
 // Compile-time check: a cluster is a schedulable fault target.
 var _ fault.Process = (*HACluster)(nil)
 

@@ -28,8 +28,10 @@ func TestPullOnGapHonouredOnL1S(t *testing.T) {
 	// +2.5 µs the first few are through and the rest die in the switch.
 	f := d.Fabric
 	failAt := start.Add(2*spacing + 2500*sim.Nanosecond)
-	d.Sched.At(failAt, func() { f.FailPath(f.NormToStrat, 1) })
-	d.Sched.At(failAt.Add(sim.Millisecond), func() { f.RepairPath(f.NormToStrat, 1) })
+	// Clearing the circuit darkens the path; reinstalling the fan-out the
+	// fabric recorded repairs it.
+	d.Sched.At(failAt, func() { f.NormToStrat.Circuit(1) })
+	d.Sched.At(failAt.Add(sim.Millisecond), func() { f.NormToStrat.Circuit(1, f.Circuits(f.NormToStrat)[1]...) })
 	d.Sched.Run()
 	if lost := f.NormToStrat.NoRoute; lost == 0 || lost >= uint64(sc.BurstMessages/bursts) {
 		t.Fatalf("the fault was meant to split burst 2; %d frames died in the dark circuit", lost)

@@ -39,7 +39,9 @@ func TestTelemetryNonPerturbation(t *testing.T) {
 	if on.Ex.PublishedMsgs != pubOff {
 		t.Errorf("armed run published %d msgs, unarmed %d", on.Ex.PublishedMsgs, pubOff)
 	}
-	ticks := on.Tel.Sampler.Ticks()
+	// Every tick appends one point to every series, retained or evicted.
+	ser := on.Tel.Sampler.Series()[0]
+	ticks := uint64(ser.Len()) + ser.Evicted()
 	if ticks == 0 {
 		t.Fatal("armed sampler never ticked")
 	}

@@ -9,7 +9,6 @@ import (
 	"tradenet/internal/pkt"
 	"tradenet/internal/redundancy"
 	"tradenet/internal/sim"
-	"tradenet/internal/trace"
 	"tradenet/internal/units"
 )
 
@@ -80,42 +79,20 @@ type WANFeed struct {
 	reasm     []*feed.Reassembler
 	cliStream *netsim.Stream
 
-	sched  *sim.Scheduler
-	tracer *trace.Recorder
-	src    pkt.UDPAddr
-	dst    pkt.UDPAddr
-	ipID   uint16
+	sched *sim.Scheduler
+	src   pkt.UDPAddr
+	dst   pkt.UDPAddr
+	ipID  uint16
 }
 
 // receive terminates the mirror's microwave circuit at the remote site: it
-// unwraps one wire frame, feeds it to the redundancy receiver, and closes
-// the frame's trace with the outcome-specific terminal.
+// unwraps one wire frame and feeds it to the redundancy receiver.
 func (wf *WANFeed) receive(_ *netsim.Port, f *netsim.Frame) {
 	var uf pkt.UDPFrame
-	if err := pkt.ParseUDPFrame(f.Data, &uf); err != nil {
-		f.Release()
-		return
-	}
-	out := wf.Receiver.Consume(uf.Payload)
-	if t := f.Trace; t != nil {
-		t.Finish(wanEnd(out))
-		f.Trace = nil
+	if pkt.ParseUDPFrame(f.Data, &uf) == nil {
+		wf.Receiver.Consume(uf.Payload)
 	}
 	f.Release()
-}
-
-// wanEnd maps a redundancy outcome to the flight recorder's terminal kind.
-func wanEnd(out redundancy.Outcome) trace.End {
-	switch out {
-	case redundancy.OutDup:
-		return trace.EndDeduped
-	case redundancy.OutParityUsed:
-		return trace.EndReconstructed
-	default:
-		// Delivered/held data, unused or exhausted parity, bad frames: the
-		// frame was consumed at the receiver either way.
-		return trace.EndConsumed
-	}
 }
 
 // NewWANFeed arms the mirror on ex's publish path with the redundancy
@@ -207,21 +184,12 @@ func (wf *WANFeed) ForceStatic(p redundancy.Policy) {
 	wf.Receiver.Apply(p)
 }
 
-// EnableTracing starts a flight-recorder trace on every mirrored wire frame;
-// the receive side finishes them with outcome terminals (deduped,
-// reconstructed, consumed), and the ports record loss and transit spans as
-// for any traced frame.
-func (wf *WANFeed) EnableTracing(r *trace.Recorder) { wf.tracer = r }
-
 // emit transmits one wire frame on the microwave path.
 func (wf *WANFeed) emit(b []byte) {
 	wf.ipID++
 	fr := netsim.NewFrame()
 	fr.Data = pkt.AppendUDPFrame(fr.Data, wf.src, wf.dst, wf.ipID, b)
 	fr.Origin = wf.sched.Now()
-	if wf.tracer != nil {
-		fr.Trace = wf.tracer.Start(wf.sched.Now())
-	}
 	wf.MW.PortA.Send(fr)
 }
 

@@ -572,7 +572,7 @@ func (e *Exchange) flush(part int) {
 		e.ipID++
 		// Build straight into a pooled frame (no intermediate scratch copy)
 		// so the flight recorder can ride the frame from the instant of
-		// publication. Send stamps Origin exactly as SendBytes did.
+		// publication. Send stamps Origin with the current instant.
 		fr := netsim.NewFrame()
 		fr.Data = pkt.AppendUDPFrame(fr.Data, src, dst, e.ipID, dgram)
 		if e.tracer != nil {

@@ -82,11 +82,6 @@ func (e *Exchange) Crash() {
 	}
 }
 
-// Restart implements fault.Process: the process comes back cold, with state
-// exactly as the crash froze it (rehydration is the owner's policy — the
-// HA design promotes the standby instead of restarting a primary).
-func (e *Exchange) Restart() { e.crashed = false }
-
 // Compile-time check: an Exchange is a schedulable fault target.
 var _ fault.Process = (*Exchange)(nil)
 

@@ -64,11 +64,9 @@ const (
 	// instantly, timers stop, and in-memory state freezes. Unlike
 	// SessionDrop (one session) or SwitchFail (a network device), the
 	// granularity is the process — the exchange-crash event the HA layer
-	// promotes a standby on.
+	// promotes a standby on. There is no paired recover: the HA design
+	// promotes the standby instead of resurrecting a primary.
 	ProcessFail
-	// ProcessRecover restarts a failed process. What state it comes back
-	// with (cold, or rehydrated from a journal) is the target's policy.
-	ProcessRecover
 )
 
 // String names the kind.
@@ -94,8 +92,6 @@ func (k Kind) String() string {
 		return "RainEnd"
 	case ProcessFail:
 		return "ProcessFail"
-	case ProcessRecover:
-		return "ProcessRecover"
 	}
 	return "Unknown"
 }
@@ -273,42 +269,24 @@ func (p *Plan) SessionDrop(target SessionDropper, at sim.Time) {
 	})
 }
 
-// Process is a host process a plan can crash and restart as a unit (an
-// exchange, a normalizer fleet member). The implementation owns the
-// consequences: killing every transport it holds, cancelling its timers,
-// and freezing state at the crash instant. Crash must be idempotent;
-// Restart on a process that never crashed is the implementation's choice.
+// Process is a host process a plan can crash as a unit (an exchange, an
+// HA cluster's primary). The implementation owns the consequences: killing
+// every transport it holds, cancelling its timers, and freezing state at
+// the crash instant. Crash must be idempotent.
 type Process interface {
 	// FaultName identifies the process in the event log.
 	FaultName() string
 	// Crash kills the process at the current instant.
 	Crash()
-	// Restart brings the process back up.
-	Restart()
 }
 
-// ProcessFail crashes target at instant at. There is no implicit recovery:
-// pair it with ProcessRecover (or ProcessOutage) if the scenario restarts
-// the process.
+// ProcessFail crashes target at instant at. There is no recovery: the
+// process stays down.
 func (p *Plan) ProcessFail(target Process, at sim.Time) {
 	p.sched.AtPrio(at, sim.PrioControl, func() {
 		target.Crash()
 		p.record(ProcessFail, target.FaultName())
 	})
-}
-
-// ProcessRecover restarts target at instant at.
-func (p *Plan) ProcessRecover(target Process, at sim.Time) {
-	p.sched.AtPrio(at, sim.PrioControl, func() {
-		target.Restart()
-		p.record(ProcessRecover, target.FaultName())
-	})
-}
-
-// ProcessOutage crashes target at instant at and restarts it d later.
-func (p *Plan) ProcessOutage(target Process, at sim.Time, d sim.Duration) {
-	p.ProcessFail(target, at)
-	p.ProcessRecover(target, at.Add(d))
 }
 
 // RandomConfig parameterizes seed-driven plan generation.
@@ -336,6 +314,8 @@ type RandomConfig struct {
 // from rng — pass the scheduler's own RNG for runs that must stay a pure
 // function of the seed. Draw order is fixed (outages, then bursts), so a
 // given (seed, config) always yields the same timeline.
+//
+//simlint:allow deadcode: ROADMAP item 16(d) builds its composed-fault generator on it
 func (p *Plan) Randomize(rng *rand.Rand, cfg RandomConfig) {
 	window := int64(cfg.End.Sub(cfg.Start))
 	if window <= 0 {

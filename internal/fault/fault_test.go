@@ -187,7 +187,7 @@ func TestSwitchOutageCallsFailThenRecover(t *testing.T) {
 	}
 }
 
-// fakeProcess records Crash/Restart calls and the instants they fired at.
+// fakeProcess records Crash calls.
 type fakeProcess struct {
 	name string
 	up   bool
@@ -196,7 +196,6 @@ type fakeProcess struct {
 
 func (f *fakeProcess) FaultName() string { return f.name }
 func (f *fakeProcess) Crash()            { f.up = false; *f.log = append(*f.log, f.name+":crash") }
-func (f *fakeProcess) Restart()          { f.up = true; *f.log = append(*f.log, f.name+":restart") }
 
 func TestProcessFailFiresAndLogs(t *testing.T) {
 	sched := sim.NewScheduler(1)
@@ -219,41 +218,11 @@ func TestProcessFailFiresAndLogs(t *testing.T) {
 	}
 }
 
-func TestProcessOutageCrashThenRestart(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	var calls []string
-	pr := &fakeProcess{name: "norm3", up: true, log: &calls}
-	p := NewPlan(sched)
-	at := sim.Time(5 * sim.Microsecond)
-	p.ProcessOutage(pr, at, 12*sim.Microsecond)
-
-	var downMid bool
-	sched.At(sim.Time(10*sim.Microsecond), func() { downMid = !pr.up })
-	sched.Run()
-
-	if !downMid {
-		t.Fatal("process not down between crash and restart")
-	}
-	if !pr.up {
-		t.Fatal("process left crashed after ProcessRecover")
-	}
-	if !reflect.DeepEqual(calls, []string{"norm3:crash", "norm3:restart"}) {
-		t.Fatalf("calls = %v", calls)
-	}
-	want := []Record{
-		{At: at, Kind: ProcessFail, Target: "norm3"},
-		{At: at.Add(12 * sim.Microsecond), Kind: ProcessRecover, Target: "norm3"},
-	}
-	if !reflect.DeepEqual(p.Log, want) {
-		t.Fatalf("log = %v, want %v", p.Log, want)
-	}
-}
-
 // TestProcessEventKindsRender pins the event-log names: a replayed log is
 // only as good as its rendering.
 func TestProcessEventKindsRender(t *testing.T) {
-	if ProcessFail.String() != "ProcessFail" || ProcessRecover.String() != "ProcessRecover" {
-		t.Fatalf("kind names = %q/%q", ProcessFail.String(), ProcessRecover.String())
+	if ProcessFail.String() != "ProcessFail" {
+		t.Fatalf("kind name = %q", ProcessFail.String())
 	}
 }
 

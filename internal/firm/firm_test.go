@@ -75,26 +75,6 @@ func TestNormalizerConvertsAndRepartitions(t *testing.T) {
 	}
 }
 
-func TestNormalizerFilterDropsBeforeReencode(t *testing.T) {
-	cfg := NormalizerConfig{
-		ProcLatency: sim.Microsecond,
-		Filter:      func(m *feed.Msg) bool { return m.Type == feed.MsgAddOrder },
-	}
-	p := buildPlant(t, cfg, StrategyConfig{})
-	p.sched.At(0, func() { p.ex.PublishBurst(p.sched.Rand(), 300) })
-	p.sched.Run()
-	if p.norm.Filtered == 0 {
-		t.Fatal("filter never fired")
-	}
-	if p.norm.MsgsOut+p.norm.Filtered != p.norm.MsgsIn {
-		t.Fatalf("conservation: out %d + filtered %d != in %d",
-			p.norm.MsgsOut, p.norm.Filtered, p.norm.MsgsIn)
-	}
-	if p.strat.MsgsIn != p.norm.MsgsOut {
-		t.Fatalf("strategy saw %d, normalizer emitted %d", p.strat.MsgsIn, p.norm.MsgsOut)
-	}
-}
-
 func TestStrategySubscriptionSubset(t *testing.T) {
 	stratCfg := StrategyConfig{Subscriptions: []int{0, 1, 2}}
 	p := buildPlant(t, NormalizerConfig{ProcLatency: sim.Microsecond}, stratCfg)
@@ -150,36 +130,39 @@ func TestEndToEndTickToTrade(t *testing.T) {
 }
 
 func TestGatewayTranslatesIDsBothWays(t *testing.T) {
-	// A never-firing trigger isolates the gateway from the strategy's own
-	// reaction to its orders echoing back on the feed.
-	neverFire := func(*feed.Msg, *market.Book) (market.Price, market.Qty, market.Side, bool) {
-		return 0, 0, 0, false
-	}
 	p := buildPlant(t,
 		NormalizerConfig{ProcLatency: sim.Microsecond},
-		StrategyConfig{DecisionLatency: sim.Microsecond, Trigger: neverFire})
+		StrategyConfig{DecisionLatency: sim.Microsecond})
 	_, exPort := p.ex.AcceptSession(p.gw.ExNIC().Addr(41000))
 	p.gw.ConnectExchange(41000, p.ex.OENIC().Addr(exPort))
 	gwPort := p.gw.AcceptStrategy(p.strat.OENIC().Addr(42000))
 	p.strat.ConnectGateway(42000, p.gw.InNIC().Addr(gwPort))
 
+	// The strategy reacts to these orders echoing back on the feed with
+	// orders of its own, numbered from 1; the test's ids start far above
+	// them, and only acks of the test's own ids are kept.
+	const mine = 1_000_000
 	var acked []uint64
 	p.sched.After(sim.Millisecond, func() {
-		p.strat.Session().OnAck = func(id uint64) { acked = append(acked, id) }
+		p.strat.Session().OnAck = func(id uint64) {
+			if id >= mine {
+				acked = append(acked, id)
+			}
+		}
 		aapl, _ := p.u.Lookup("AAPL")
-		p.strat.Session().NewOrder(7, aapl, market.Buy, 1000000, 10)
-		p.strat.Session().NewOrder(8, aapl, market.Buy, 999000, 10)
+		p.strat.Session().NewOrder(mine+7, aapl, market.Buy, 1000000, 10)
+		p.strat.Session().NewOrder(mine+8, aapl, market.Buy, 999000, 10)
 	})
 	p.sched.Run()
-	if len(acked) != 2 || acked[0] != 7 || acked[1] != 8 {
+	if len(acked) != 2 || acked[0] != mine+7 || acked[1] != mine+8 {
 		t.Fatalf("acked = %v (internal ids must round-trip)", acked)
 	}
-	// Cancel via the gateway: internal id 7 maps to the right exchange
-	// order.
+	// Cancel via the gateway: internal id mine+7 maps to the right
+	// exchange order.
 	var cancelOK bool
 	p.sched.After(0, func() {
-		p.strat.Session().OnCancelAck = func(id uint64) { cancelOK = id == 7 }
-		p.strat.Session().Cancel(7)
+		p.strat.Session().OnCancelAck = func(id uint64) { cancelOK = id == mine+7 }
+		p.strat.Session().Cancel(mine + 7)
 	})
 	p.sched.Run()
 	if !cancelOK {
@@ -223,27 +206,6 @@ func TestNormalizerPreservesOriginTimestamps(t *testing.T) {
 		if e2e > 100*sim.Microsecond {
 			t.Fatalf("end-to-end %v implausibly large", e2e)
 		}
-	}
-}
-
-func TestNormalizerFlushThresholdPacksMessages(t *testing.T) {
-	// Threshold 4: four messages per normalized datagram (amortizing
-	// headers, the §5 protocol discussion).
-	cfgPacked := NormalizerConfig{ProcLatency: sim.Microsecond, FlushThreshold: 4}
-	p := buildPlant(t, cfgPacked, StrategyConfig{})
-	var dgrams int
-	orig := p.strat.MDNIC().OnFrame
-	p.strat.MDNIC().OnFrame = func(n *netsim.NIC, f *netsim.Frame) {
-		dgrams++
-		orig(n, f)
-	}
-	p.sched.At(0, func() { p.ex.PublishBurst(p.sched.Rand(), 64) })
-	p.sched.Run()
-	if p.strat.MsgsIn != 64 {
-		t.Fatalf("strategy in = %d", p.strat.MsgsIn)
-	}
-	if dgrams >= 64 {
-		t.Fatalf("datagrams = %d for 64 messages: packing ineffective", dgrams)
 	}
 }
 

@@ -23,14 +23,6 @@ type NormalizerConfig struct {
 	// ProcLatency is the software cost of decoding, normalizing, and
 	// re-encoding one datagram (the <2 µs per-function budget of §4).
 	ProcLatency sim.Duration
-	// Filter, if set, drops messages for which it returns false before
-	// re-encoding — the in-normalizer filtering placement of §3's
-	// "Implications for trading systems".
-	Filter func(m *feed.Msg) bool
-	// FlushThreshold flushes an output partition once this many messages
-	// are packed (1 = message-per-datagram; larger values trade latency for
-	// header amortization).
-	FlushThreshold int
 	// PartitionOwned, if set, restricts which internal partitions this
 	// normalizer emits — how a fleet of normalizers divides the feed
 	// without duplicating work ("normalizing the market data also avoids
@@ -71,7 +63,6 @@ type Normalizer struct {
 
 	// Stats.
 	MsgsIn, MsgsOut   uint64
-	Filtered          uint64
 	Skipped           uint64 // messages for partitions this replica does not own
 	GapsSeen, MsgLost uint64
 }
@@ -81,9 +72,6 @@ type Normalizer struct {
 // internal partitioning it publishes into.
 func NewNormalizer(sched *sim.Scheduler, u *market.Universe, name string, hostID uint32,
 	inVariant *feed.Variant, rawMap, outMap *mcast.Map, cfg NormalizerConfig) *Normalizer {
-	if cfg.FlushThreshold <= 0 {
-		cfg.FlushThreshold = 1
-	}
 	n := &Normalizer{
 		cfg:       cfg,
 		sched:     sched,
@@ -156,61 +144,37 @@ func (n *Normalizer) process(f *netsim.Frame) {
 	if r == nil {
 		return
 	}
-	touched := map[int]bool{}
+	// One message per datagram: each normalized message goes out at once.
 	r.Consume(uf.Payload, func(m *feed.Msg) {
-		part := n.normalize(m, f.Origin)
-		if part < 0 {
-			return
-		}
-		touched[part] = true
-		if n.packers[part].Pending() >= n.cfg.FlushThreshold {
+		if part := n.normalize(m); part >= 0 {
 			n.flush(part, f.Origin)
-			delete(touched, part)
 		}
 	})
-	// Flush in partition order for reproducibility (map iteration order
-	// must not reach the event schedule).
-	for part := range n.packers {
-		if touched[part] {
-			n.flush(part, f.Origin)
-		}
-	}
 }
 
-// normalize runs one message through the filter → partition → packer path,
-// returning the partition it was packed into (-1 if filtered, unowned, or
-// already flushed away by overflow).
-func (n *Normalizer) normalize(m *feed.Msg, origin sim.Time) int {
+// normalize packs one message into its partition's empty packer and
+// returns the partition (-1 if unowned); the caller flushes it.
+func (n *Normalizer) normalize(m *feed.Msg) int {
 	n.MsgsIn++
-	if n.cfg.Filter != nil && !n.cfg.Filter(m) {
-		n.Filtered++
-		return -1
-	}
 	sym := n.resolveSymbol(m)
 	part := n.outMap.Partitioner().Partition(sym)
 	if n.cfg.PartitionOwned != nil && !n.cfg.PartitionOwned(part) {
 		n.Skipped++
 		return -1
 	}
-	p := n.packers[part]
-	if !p.Add(m) {
-		n.flush(part, origin)
-		p.Add(m)
-	}
+	n.packers[part].Add(m)
 	n.MsgsOut++
 	return part
 }
 
 // ConsumeRecovered normalizes a message replayed by the gap-recovery
-// service. It takes the same filter/partition path as live traffic but
-// flushes immediately — recovered data is already late, so batching buys
-// nothing. The packer re-sequences it onto the internal feed, so downstream
-// consumers see a gap-free stream (late, not lost): the normalizer absorbs
-// the exchange-side gap instead of propagating it.
+// service. It takes the same partition path as live traffic. The packer
+// re-sequences it onto the internal feed, so downstream consumers see a
+// gap-free stream (late, not lost): the normalizer absorbs the
+// exchange-side gap instead of propagating it.
 func (n *Normalizer) ConsumeRecovered(m *feed.Msg) {
-	now := n.sched.Now()
-	if part := n.normalize(m, now); part >= 0 {
-		n.flush(part, now)
+	if part := n.normalize(m); part >= 0 {
+		n.flush(part, n.sched.Now())
 	}
 }
 

@@ -20,14 +20,6 @@ type StrategyConfig struct {
 	// consumes ("some strategies only analyze a subset of the feed", §1).
 	// Empty means all partitions.
 	Subscriptions []int
-	// Trigger decides whether a message prompts an order. If nil, the
-	// strategy fires on every event that improves the best bid (a simple
-	// join-the-bid strategy), pricing at the new best bid.
-	Trigger func(m *feed.Msg, book *market.Book) (market.Price, market.Qty, market.Side, bool)
-	// Gate, if set, screens (and may reprice) every outgoing order — the
-	// §4.2 compliance hook, typically firm.Surveillance.Reprice bound to
-	// the destination exchange. Returning ok=false suppresses the order.
-	Gate func(sym market.SymbolID, side market.Side, price market.Price) (market.Price, bool)
 	// PullOnGap cancels every working order when a sequence gap appears on
 	// the normalized feed: a gap means missed liquidity events, so resting
 	// quotes are priced against a book the strategy can no longer trust —
@@ -84,8 +76,6 @@ type Strategy struct {
 	MsgsIn       uint64
 	OrdersSent   uint64
 	Fills        uint64
-	Gated        uint64 // orders suppressed by the compliance gate
-	Repriced     uint64 // orders the gate moved to a compliant price
 	GapsSeen     uint64 // sequence gaps detected on the normalized feed
 	QuotePulls   uint64 // gap-triggered pull events (PullOnGap)
 	PulledOrders uint64 // cancels sent by those pulls
@@ -312,25 +302,11 @@ func (s *Strategy) fireDecision(d *pendingDecision) {
 		tr.Record(s.host.Name, trace.CauseSoftware, s.sched.Now())
 	}
 
-	sym := book.Symbol()
-	sendPrice := price
-	if s.cfg.Gate != nil {
-		p, ok := s.cfg.Gate(sym, side, price)
-		if !ok {
-			s.Gated++
-			tr.Finish(trace.EndConsumed)
-			return
-		}
-		if p != price {
-			s.Repriced++
-		}
-		sendPrice = p
-	}
 	s.nextOID++
 	if tr != nil {
 		s.stream.AttachTxTrace(tr)
 	}
-	s.session.NewOrder(s.nextOID, sym, side, sendPrice, qty)
+	s.session.NewOrder(s.nextOID, book.Symbol(), side, price, qty)
 	if s.cfg.PullOnGap {
 		s.liveOrders = append(s.liveOrders, s.nextOID)
 	}
@@ -338,11 +314,8 @@ func (s *Strategy) fireDecision(d *pendingDecision) {
 }
 
 func (s *Strategy) trigger(m *feed.Msg, book *market.Book, preBBO market.BBO) (market.Price, market.Qty, market.Side, bool) {
-	if s.cfg.Trigger != nil {
-		return s.cfg.Trigger(m, book)
-	}
-	// Default join-the-bid: act only when a new bid strictly improves the
-	// pre-event best bid. The strict comparison keeps the strategy from
+	// Join-the-bid: act only when a new bid strictly improves the pre-event
+	// best bid. The strict comparison keeps the strategy from
 	// chasing the reflection of its own order on the feed.
 	if m.Type != feed.MsgAddOrder || m.Side != market.Buy {
 		return 0, 0, 0, false

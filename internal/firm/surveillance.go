@@ -7,18 +7,16 @@ import (
 // Surveillance is the firm-wide market-state aggregator §4.2 motivates:
 // SEC rules prohibit advertising prices that lock or cross other exchanges'
 // quotes, and trading through better prices advertised elsewhere — so a
-// compliant firm must aggregate every exchange's quotes and gate outgoing
-// orders against the national picture. This is the paper's argument for
-// "broad internal communication": the surveillance function needs data from
-// all markets, not just the one being traded.
+// compliant firm must aggregate every exchange's quotes into the national
+// picture. This is the paper's argument for "broad internal communication":
+// the surveillance function needs data from all markets, not just the one
+// being traded. E17 (metronbbo) measures how often a view built from
+// delayed feeds misreports the national state.
 type Surveillance struct {
 	nbbo map[market.SymbolID]*market.NBBO
 
 	// Stats.
-	Updates        uint64
-	GateChecks     uint64
-	BlockedLock    uint64
-	BlockedThrough uint64
+	Updates uint64
 	// StateChanges counts observed lock/cross transitions across the
 	// whole market.
 	StateChanges uint64
@@ -45,80 +43,7 @@ func (s *Surveillance) Update(ex market.ExchangeID, sym market.SymbolID, bbo mar
 	s.book(sym).Update(ex, bbo)
 }
 
-// NBBO returns the national best bid/offer for a symbol.
-func (s *Surveillance) NBBO(sym market.SymbolID) (bid market.Quote, ask market.Quote) {
-	b, _, a, _ := s.book(sym).Best()
-	return b, a
-}
-
 // State returns the symbol's current lock/cross condition.
 func (s *Surveillance) State(sym market.SymbolID) market.MarketState {
 	return s.book(sym).State()
-}
-
-// GateReason classifies why an order was blocked.
-type GateReason uint8
-
-// Gate outcomes.
-const (
-	GateOK GateReason = iota
-	GateWouldLockOrCross
-	GateWouldTradeThrough
-)
-
-// String names the outcome.
-func (g GateReason) String() string {
-	switch g {
-	case GateOK:
-		return "ok"
-	case GateWouldLockOrCross:
-		return "would-lock-or-cross"
-	case GateWouldTradeThrough:
-		return "would-trade-through"
-	}
-	return "unknown"
-}
-
-// Gate checks an order about to be sent to exchange ex: a passive order
-// must not lock or cross another market's quote; an aggressive
-// (immediately-executable) order must not trade through a better price
-// elsewhere.
-func (s *Surveillance) Gate(ex market.ExchangeID, sym market.SymbolID, side market.Side, price market.Price) GateReason {
-	s.GateChecks++
-	n := s.book(sym)
-	// Aggressive orders (crossing ex's own displayed quote) are checked
-	// for trade-throughs; passive orders for lock/cross.
-	if n.WouldTradeThrough(ex, side, price) {
-		s.BlockedThrough++
-		return GateWouldTradeThrough
-	}
-	if n.WouldLockOrCross(ex, side, price) {
-		s.BlockedLock++
-		return GateWouldLockOrCross
-	}
-	return GateOK
-}
-
-// Reprice returns the most aggressive compliant price at or behind the
-// requested price for exchange ex, or ok=false if any price on that side
-// would violate. Firms commonly "slide" orders to the compliant price
-// rather than rejecting them outright.
-func (s *Surveillance) Reprice(ex market.ExchangeID, sym market.SymbolID, side market.Side, price market.Price) (market.Price, bool) {
-	n := s.book(sym)
-	bid, _, ask, _ := n.Best()
-	if side == market.Buy {
-		if ask.Size == 0 || price < ask.Price {
-			return price, true
-		}
-		// Slide to one tick below the national ask.
-		p := ask.Price - 1
-		if p <= 0 {
-			return 0, false
-		}
-		return p, true
-	}
-	if bid.Size == 0 || price > bid.Price {
-		return price, true
-	}
-	return bid.Price + 1, true
 }

@@ -4,17 +4,12 @@ import (
 	"testing"
 
 	"tradenet/internal/market"
-	"tradenet/internal/sim"
 )
 
 func TestSurveillanceNBBOAndState(t *testing.T) {
 	s := NewSurveillance()
 	s.Update(1, 7, market.BBO{Bid: market.Quote{Price: 1000, Size: 10}, Ask: market.Quote{Price: 1010, Size: 10}})
 	s.Update(2, 7, market.BBO{Bid: market.Quote{Price: 1005, Size: 5}, Ask: market.Quote{Price: 1015, Size: 5}})
-	bid, ask := s.NBBO(7)
-	if bid.Price != 1005 || ask.Price != 1010 {
-		t.Fatalf("NBBO = %v/%v", bid, ask)
-	}
 	if s.State(7) != market.MarketNormal {
 		t.Fatalf("state = %v", s.State(7))
 	}
@@ -32,110 +27,5 @@ func TestSurveillanceNBBOAndState(t *testing.T) {
 	}
 	if s.Updates != 3 {
 		t.Fatalf("updates = %d", s.Updates)
-	}
-}
-
-func TestSurveillanceGate(t *testing.T) {
-	s := NewSurveillance()
-	s.Update(1, 7, market.BBO{Bid: market.Quote{Price: 1000, Size: 10}, Ask: market.Quote{Price: 1010, Size: 10}})
-
-	// Passive compliant bid on exchange 2.
-	if g := s.Gate(2, 7, market.Buy, 1005); g != GateOK {
-		t.Fatalf("compliant bid gated: %v", g)
-	}
-	// Bid at exchange 1's ask from exchange 2 would lock.
-	if g := s.Gate(2, 7, market.Buy, 1010); g != GateWouldLockOrCross {
-		t.Fatalf("locking bid = %v", g)
-	}
-	// A bid above the away ask is blocked too — classified as a
-	// trade-through, since executing it would trade past the better price.
-	if g := s.Gate(2, 7, market.Buy, 1011); g == GateOK {
-		t.Fatalf("crossing bid = %v", g)
-	}
-	// Executing a buy at 1012 on exchange 2 with a 1010 ask elsewhere is a
-	// trade-through.
-	if g := s.Gate(2, 7, market.Buy, 1012); g != GateWouldLockOrCross && g != GateWouldTradeThrough {
-		t.Fatalf("trade-through = %v", g)
-	}
-	// Same-exchange aggression is that exchange's matching problem: fine.
-	if g := s.Gate(1, 7, market.Buy, 1010); g != GateOK {
-		t.Fatalf("self-exchange cross gated: %v", g)
-	}
-	if s.BlockedLock == 0 {
-		t.Fatal("lock blocks not counted")
-	}
-	for _, g := range []GateReason{GateOK, GateWouldLockOrCross, GateWouldTradeThrough} {
-		if g.String() == "unknown" {
-			t.Fatal("gate reason unnamed")
-		}
-	}
-}
-
-func TestSurveillanceReprice(t *testing.T) {
-	s := NewSurveillance()
-	s.Update(1, 7, market.BBO{Bid: market.Quote{Price: 1000, Size: 10}, Ask: market.Quote{Price: 1010, Size: 10}})
-	// Compliant price passes through unchanged.
-	if p, ok := s.Reprice(2, 7, market.Buy, 1005); !ok || p != 1005 {
-		t.Fatalf("reprice = %v/%v", p, ok)
-	}
-	// Locking buy slides one tick under the national ask.
-	p, ok := s.Reprice(2, 7, market.Buy, 1010)
-	if !ok || p != 1009 {
-		t.Fatalf("slid buy = %v/%v", p, ok)
-	}
-	if g := s.Gate(2, 7, market.Buy, p); g != GateOK {
-		t.Fatalf("slid price still gated: %v", g)
-	}
-	// Locking sell slides one tick above the national bid.
-	p, ok = s.Reprice(2, 7, market.Sell, 1000)
-	if !ok || p != 1001 {
-		t.Fatalf("slid sell = %v/%v", p, ok)
-	}
-	// No quotes: anything is compliant.
-	if p, ok := s.Reprice(1, 99, market.Buy, 5); !ok || p != 5 {
-		t.Fatal("empty book reprice")
-	}
-}
-
-// End to end: a strategy whose gate is wired to firm surveillance slides
-// would-lock orders to compliant prices before they reach the exchange.
-func TestStrategyComplianceGate(t *testing.T) {
-	sur := NewSurveillance()
-	gate := func(sym market.SymbolID, side market.Side, price market.Price) (market.Price, bool) {
-		return sur.Reprice(1, sym, side, price)
-	}
-	p := buildPlant(t,
-		NormalizerConfig{ProcLatency: 0},
-		StrategyConfig{DecisionLatency: 0, Gate: gate})
-
-	_, exPort := p.ex.AcceptSession(p.gw.ExNIC().Addr(41000))
-	p.gw.ConnectExchange(41000, p.ex.OENIC().Addr(exPort))
-	gwPort := p.gw.AcceptStrategy(p.strat.OENIC().Addr(42000))
-	p.strat.ConnectGateway(42000, p.gw.InNIC().Addr(gwPort))
-
-	// A phantom exchange 2 displays a very low ask on every symbol: almost
-	// any bid the strategy wants to post would lock or cross it.
-	for _, in := range p.u.All() {
-		sur.Update(2, in.ID, market.BBO{
-			Bid: market.Quote{Price: 9000, Size: 10},
-			Ask: market.Quote{Price: 10500, Size: 10},
-		})
-	}
-	p.sched.After(sim.Millisecond, func() { p.ex.PublishBurst(p.sched.Rand(), 80) })
-	p.sched.Run()
-
-	if p.strat.OrdersSent == 0 {
-		t.Fatal("no orders fired")
-	}
-	if p.strat.Repriced == 0 {
-		t.Fatal("gate never repriced despite the phantom low ask")
-	}
-	// Every order the exchange accepted was compliant: at or below 10499.
-	for id := uint64(1); id <= p.strat.OrdersSent; id++ {
-		if st, ok := p.strat.Session().Order(id); ok {
-			if st.Side == market.Buy && st.Price > 10499 {
-				t.Fatalf("non-compliant order slipped through at %v", st.Price)
-			}
-		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Encode writes the artifact as NDJSON: one JSON object per line, records
@@ -29,6 +28,8 @@ func (a *Artifact) Encode(w io.Writer) error {
 }
 
 // EncodeString returns the NDJSON bytes as a string.
+//
+//simlint:allow deadcode: cmd/tradenet's manifest digest test and core's telemetry tests hash and search its output
 func (a *Artifact) EncodeString() string {
 	var b bytes.Buffer
 	if err := a.Encode(&b); err != nil {
@@ -188,18 +189,4 @@ func WriteDir(dir string, arts []*Artifact) ([]string, error) {
 		paths = append(paths, path)
 	}
 	return paths, nil
-}
-
-// StripHostLines removes hoststats lines from raw NDJSON text — the
-// deterministic remainder CI's byte-identical comparisons use.
-func StripHostLines(ndjson string) string {
-	lines := strings.Split(ndjson, "\n")
-	out := lines[:0]
-	for _, l := range lines {
-		if strings.HasPrefix(l, `{"record":"hoststats"`) {
-			continue
-		}
-		out = append(out, l)
-	}
-	return strings.Join(out, "\n")
 }

@@ -149,9 +149,6 @@ func (b *Book) BBO() BBO {
 	return out
 }
 
-// Depth returns the number of price levels on side s.
-func (b *Book) Depth(s Side) int { return len(*b.side(s)) }
-
 func (b *Book) notifyIfBBOChanged() {
 	now := b.BBO()
 	if now == b.lastBBO {

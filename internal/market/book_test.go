@@ -36,8 +36,8 @@ func TestSideAndPriceHelpers(t *testing.T) {
 	if Buy.String() != "buy" || Sell.String() != "sell" {
 		t.Fatal("Side.String broken")
 	}
-	if Price(1502500).Dollars() != "$150.2500" {
-		t.Fatalf("Dollars = %s", Price(1502500).Dollars())
+	if s := MarketLocked.String() + MarketCrossed.String() + MarketNormal.String(); s == "" {
+		t.Fatal("state names")
 	}
 	for _, c := range []InstrumentClass{Equity, ETF, Option, Future} {
 		if c.String() == "unknown" {
@@ -70,8 +70,8 @@ func TestBookAddRestAndBBO(t *testing.T) {
 	if len(bboEvents) != 2 {
 		t.Fatal("non-BBO-affecting add fired event")
 	}
-	if b.Depth(Buy) != 2 || b.Depth(Sell) != 1 {
-		t.Fatalf("depth = %d/%d", b.Depth(Buy), b.Depth(Sell))
+	if len(*b.side(Buy)) != 2 || len(*b.side(Sell)) != 1 {
+		t.Fatalf("depth = %d/%d", len(*b.side(Buy)), len(*b.side(Sell)))
 	}
 }
 
@@ -137,7 +137,7 @@ func TestBookCancelSemanticsIncludingRace(t *testing.T) {
 	if b.Cancel(2) {
 		t.Fatal("cancel after full fill should report dead order")
 	}
-	if b.Orders() != 0 || b.Depth(Buy) != 0 || b.Depth(Sell) != 0 {
+	if b.Orders() != 0 || len(*b.side(Buy)) != 0 || len(*b.side(Sell)) != 0 {
 		t.Fatal("book should be empty")
 	}
 }
@@ -291,46 +291,6 @@ func TestNBBOOneSidedQuotes(t *testing.T) {
 	bid, _, ask, _ := n.Best()
 	if bid.Size != 10 || ask.Size != 0 {
 		t.Fatalf("best = %v / %v", bid, ask)
-	}
-}
-
-func TestWouldLockOrCross(t *testing.T) {
-	n := NewNBBO()
-	n.Update(1, BBO{Bid: Quote{1000, 10}, Ask: Quote{1010, 10}})
-	// Posting a bid at 1010 on exchange 2 would lock exchange 1's ask.
-	if !n.WouldLockOrCross(2, Buy, 1010) {
-		t.Fatal("lock not detected")
-	}
-	if !n.WouldLockOrCross(2, Buy, 1011) {
-		t.Fatal("cross not detected")
-	}
-	if n.WouldLockOrCross(2, Buy, 1009) {
-		t.Fatal("false positive")
-	}
-	// Same price on the *same* exchange is that exchange's matching problem.
-	if n.WouldLockOrCross(1, Buy, 1010) {
-		t.Fatal("self-exchange should not count")
-	}
-	if !n.WouldLockOrCross(2, Sell, 1000) || n.WouldLockOrCross(2, Sell, 1001) {
-		t.Fatal("sell-side lock detection wrong")
-	}
-}
-
-func TestWouldTradeThrough(t *testing.T) {
-	n := NewNBBO()
-	n.Update(1, BBO{Bid: Quote{1000, 10}, Ask: Quote{1010, 10}})
-	// Buying at 1012 on exchange 2 trades through exchange 1's 1010 ask.
-	if !n.WouldTradeThrough(2, Buy, 1012) {
-		t.Fatal("buy trade-through not detected")
-	}
-	if n.WouldTradeThrough(2, Buy, 1010) {
-		t.Fatal("executing at the best price is not a trade-through")
-	}
-	if !n.WouldTradeThrough(2, Sell, 998) {
-		t.Fatal("sell trade-through not detected")
-	}
-	if s := MarketLocked.String() + MarketCrossed.String() + MarketNormal.String(); s == "" {
-		t.Fatal("state names")
 	}
 }
 

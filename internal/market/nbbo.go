@@ -98,43 +98,5 @@ func (n *NBBO) State() MarketState {
 	}
 }
 
-// WouldLockOrCross reports whether posting a new quote on side s at price p
-// on exchange ex would create a locked or crossed market against the other
-// exchanges' current quotes — the check a compliant trading system must run
-// before advertising a price (§4.2).
-func (n *NBBO) WouldLockOrCross(ex ExchangeID, s Side, p Price) bool {
-	for other, b := range n.quotes {
-		if other == ex {
-			continue
-		}
-		if s == Buy && b.Ask.Size > 0 && p >= b.Ask.Price {
-			return true
-		}
-		if s == Sell && b.Bid.Size > 0 && p <= b.Bid.Price {
-			return true
-		}
-	}
-	return false
-}
-
-// WouldTradeThrough reports whether executing on exchange ex at price p on
-// side s would trade through a better price advertised elsewhere.
-func (n *NBBO) WouldTradeThrough(ex ExchangeID, s Side, p Price) bool {
-	for other, b := range n.quotes {
-		if other == ex {
-			continue
-		}
-		// A buy executing at p trades through a cheaper ask elsewhere; a
-		// sell executing at p trades through a higher bid elsewhere.
-		if s == Buy && b.Ask.Size > 0 && b.Ask.Price < p {
-			return true
-		}
-		if s == Sell && b.Bid.Size > 0 && b.Bid.Price > p {
-			return true
-		}
-	}
-	return false
-}
-
 // Exchanges returns the number of exchanges currently contributing quotes.
 func (n *NBBO) Exchanges() int { return len(n.quotes) }

@@ -351,8 +351,8 @@ func diffRun(t *testing.T, seed int64) {
 				if got := b.Levels(s, 1<<20); !reflect.DeepEqual(got, append([]Level{}, want...)) {
 					t.Fatalf("step %d %s: book %d %v levels %+v, reference %+v", step, desc, i, s, got, want)
 				}
-				if b.Depth(s) != len(want) {
-					t.Fatalf("step %d %s: book %d %v depth %d, reference %d", step, desc, i, s, b.Depth(s), len(want))
+				if len(*b.side(s)) != len(want) {
+					t.Fatalf("step %d %s: book %d %v depth %d, reference %d", step, desc, i, s, len(*b.side(s)), len(want))
 				}
 				if top := b.Levels(s, 2); len(top) != min(2, len(want)) {
 					t.Fatalf("step %d %s: book %d Levels(%v, 2) returned %d levels", step, desc, i, s, len(top))

@@ -5,8 +5,6 @@
 // crossed, and traded-through markets) depends on.
 package market
 
-import "fmt"
-
 // SymbolID is an interned symbol identifier. Interning keeps hot-path
 // structs free of strings.
 type SymbolID uint32
@@ -34,9 +32,6 @@ func (s Side) Opposite() Side { return 1 - s }
 // Price is a limit price in ten-thousandths of a dollar (10000 = $1.00).
 // Integer prices keep book arithmetic exact.
 type Price int64
-
-// Dollars formats the price as a dollar string.
-func (p Price) Dollars() string { return fmt.Sprintf("$%.4f", float64(p)/10000) }
 
 // Qty is an order quantity in shares/contracts.
 type Qty int64

@@ -136,11 +136,6 @@ func NewMap(part *Partitioner, alloc *Allocator) *Map {
 	return m
 }
 
-// Group returns the multicast group carrying symbol id's partition.
-func (m *Map) Group(id market.SymbolID) pkt.IP4 {
-	return m.groups[m.part.Partition(id)]
-}
-
 // GroupByIndex returns partition i's group.
 func (m *Map) GroupByIndex(i int) pkt.IP4 { return m.groups[i] }
 

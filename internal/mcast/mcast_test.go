@@ -124,11 +124,8 @@ func TestMapStableAndComplete(t *testing.T) {
 		t.Fatalf("groups = %d", len(m.Groups()))
 	}
 	aapl, _ := u.Lookup("AAPL")
-	if m.Group(aapl) != m.GroupByIndex(0) {
+	if m.GroupByIndex(p.Partition(aapl)) != m.GroupByIndex(0) {
 		t.Fatal("group lookup inconsistent")
-	}
-	if m.Group(aapl) != m.Group(aapl) {
-		t.Fatal("unstable mapping")
 	}
 	if m.Partitioner() != p {
 		t.Fatal("partitioner accessor")

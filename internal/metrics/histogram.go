@@ -216,45 +216,6 @@ func (h *Histogram) Median() int64 { return h.Quantile(0.5) }
 // P99 is Quantile(0.99).
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
-// Merge adds all of o's samples into h. Exactness is preserved only if the
-// merged sample count still fits the exact-retention threshold.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.counts {
-		if c != 0 {
-			h.counts[i] += c
-		}
-	}
-	if !h.exactOver && !o.exactOver && len(h.exact)+len(o.exact) <= exactThreshold {
-		h.exact = append(h.exact, o.exact...)
-	} else {
-		h.exactOver = true
-		h.exact = h.exact[:0]
-	}
-	h.cdfValid, h.sortValid = false, false
-}
-
-// Reset empties the histogram without releasing its backing storage, so a
-// pooled histogram reused across replications does not re-allocate.
-func (h *Histogram) Reset() {
-	h.count, h.sum = 0, 0
-	h.min, h.max = math.MaxInt64, math.MinInt64
-	h.counts = [numBuckets]int64{}
-	h.exact = h.exact[:0]
-	h.exactOver = false
-	h.cdfValid, h.sortValid = false, false
-}
-
 // String summarizes the distribution on one line.
 func (h *Histogram) String() string {
 	if h.count == 0 {

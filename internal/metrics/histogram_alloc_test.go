@@ -56,27 +56,6 @@ func TestHistogramRecordQuantileZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestHistogramResetNoRealloc(t *testing.T) {
-	h := NewHistogram()
-	for i := int64(0); i < 1000; i++ {
-		h.Observe(i)
-	}
-	h.Quantile(0.5)
-	h.Reset()
-	allocs := testing.AllocsPerRun(200, func() {
-		h.Reset()
-		for i := int64(0); i < 64; i++ {
-			h.Observe(i)
-		}
-		if h.Quantile(0.5) < 0 {
-			t.Fatal("impossible")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("reset+refill allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
 // BenchmarkHistogramRecordQuantile measures the paired record-then-query hot
 // path in the bucketed regime (CDF rebuild amortized per batch would be
 // cheaper; this is the worst case of one rebuild per record).

@@ -35,9 +35,6 @@ const (
 	// fields, arbitrary derived reads. Deltas between samples are
 	// meaningful for monotonic sources.
 	KindInt Kind = iota
-	// KindGauge is a settable level (queue depth, open orders): the
-	// current value is the signal, deltas may go negative.
-	KindGauge
 	// KindHistogram is a distribution summarized by quantiles.
 	KindHistogram
 )
@@ -47,8 +44,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindInt:
 		return "int"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	}
@@ -82,24 +77,6 @@ func (r *Registry) RegisterUint(name string, v *uint64) {
 		panic("metrics: RegisterUint with nil field")
 	}
 	r.RegisterInt(name, func() int64 { return int64(*v) })
-}
-
-// Counter creates, registers, and returns a fresh Counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.RegisterInt(name, c.Value)
-	return c
-}
-
-// Gauge creates, registers, and returns a settable gauge handle under name.
-// Unlike RegisterInt's read-function shape, a gauge is written by its owner
-// (Set/Add) and read by the registry — the handle for levels that rise and
-// fall (queue depths, open orders, pending replays).
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.RegisterInt(name, g.Value)
-	r.kinds[name] = KindGauge
-	return g
 }
 
 // RegisterHistogram binds name to a histogram, summarized at dump time.
@@ -157,12 +134,6 @@ func (r *Registry) Int(name string) (int64, bool) {
 func (r *Registry) Hist(name string) (*Histogram, bool) {
 	h, ok := r.hists[name]
 	return h, ok
-}
-
-// Kind returns the kind registered under name (false if absent).
-func (r *Registry) Kind(name string) (Kind, bool) {
-	k, ok := r.kinds[name]
-	return k, ok
 }
 
 // Each walks every registered metric in sorted name order — the structural

@@ -23,8 +23,9 @@ import (
 //     drains, and read metrics without mutating simulation state or
 //     drawing from the scheduler's RNG. Relative order of plant events is
 //     therefore unchanged; the only observable difference of an armed
-//     sampler is its own tick events in Scheduler.Fired (exactly Ticks()
-//     of them — the non-perturbation test accounts for them to the event).
+//     sampler is its own tick events in Scheduler.Fired (one per point in
+//     each series — the non-perturbation test accounts for them to the
+//     event).
 //   - A tick re-arms itself only while now+Interval <= the Arm deadline,
 //     so runs driven by Scheduler.Run() (queue-empty termination) still
 //     terminate.
@@ -35,7 +36,6 @@ type Sampler struct {
 	series []*SampleSeries
 	last   []int64 // previous sampled value per series, for deltas
 	tickFn func()
-	ticks  uint64
 	until  sim.Time
 	armed  bool
 }
@@ -132,15 +132,6 @@ func NewSampler(sched *sim.Scheduler, reg *Registry, cfg SamplerConfig) *Sampler
 // Interval returns the configured tick spacing.
 func (s *Sampler) Interval() sim.Duration { return s.cfg.Interval }
 
-// Ticks returns how many sampling ticks have fired — exactly the number of
-// extra scheduler events an armed sampler contributes.
-func (s *Sampler) Ticks() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.ticks
-}
-
 // Series returns every sampled series in registry (sorted-name) order.
 // Empty until Arm snapshots the registry.
 func (s *Sampler) Series() []*SampleSeries {
@@ -148,19 +139,6 @@ func (s *Sampler) Series() []*SampleSeries {
 		return nil
 	}
 	return s.series
-}
-
-// SeriesByName returns the series for one metric, or nil.
-func (s *Sampler) SeriesByName(name string) *SampleSeries {
-	if s == nil {
-		return nil
-	}
-	for _, ser := range s.series {
-		if ser.Name == name {
-			return ser
-		}
-	}
-	return nil
 }
 
 // Arm snapshots the registry's current metric set as the sampled set
@@ -202,7 +180,6 @@ func (s *Sampler) read(name string, kind Kind) int64 {
 // tick samples every metric once and re-arms while inside the deadline.
 func (s *Sampler) tick() {
 	now := s.sched.Now()
-	s.ticks++
 	for i, ser := range s.series {
 		p := SamplePoint{T: now}
 		if ser.Kind == KindHistogram {

@@ -6,23 +6,37 @@ import (
 	"tradenet/internal/sim"
 )
 
+// intVar registers name as an integer metric read from the returned
+// variable, the shape every plant component uses.
+func intVar(r *Registry, name string) *int64 {
+	v := new(int64)
+	r.RegisterInt(name, func() int64 { return *v })
+	return v
+}
+
+// seriesByName returns s's series for one metric, or nil.
+func seriesByName(s *Sampler, name string) *SampleSeries {
+	for _, ser := range s.Series() {
+		if ser.Name == name {
+			return ser
+		}
+	}
+	return nil
+}
+
 // TestGaugeAndEachWalker covers the structural registry surface the
-// sampler and cmd/tradestat consume: kinds, the sorted Each walk matching
-// Dump's line order, and the settable gauge handle.
+// sampler and cmd/tradestat consume: kinds, and the sorted Each walk
+// matching Dump's line order, over a level that rises and falls (a gauge),
+// a count and a histogram.
 func TestGaugeAndEachWalker(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("q.depth")
-	c := r.Counter("a.count")
+	g := intVar(r, "q.depth")
+	c := intVar(r, "a.count")
 	h := r.Histogram("m.lat")
 
-	g.Set(5)
-	g.Add(-2)
-	g.Inc()
-	g.Dec()
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge value = %d, want 3", got)
-	}
-	c.Add(7)
+	*g = 5
+	*g -= 2
+	*c += 7
 	h.Observe(10)
 
 	var names []string
@@ -32,7 +46,7 @@ func TestGaugeAndEachWalker(t *testing.T) {
 		kinds = append(kinds, kind)
 	})
 	wantNames := []string{"a.count", "m.lat", "q.depth"}
-	wantKinds := []Kind{KindInt, KindHistogram, KindGauge}
+	wantKinds := []Kind{KindInt, KindHistogram, KindInt}
 	if len(names) != len(wantNames) {
 		t.Fatalf("Each walked %d metrics, want %d", len(names), len(wantNames))
 	}
@@ -51,12 +65,6 @@ func TestGaugeAndEachWalker(t *testing.T) {
 	if _, ok := r.Hist("a.count"); ok {
 		t.Error("Hist(a.count) matched an int metric")
 	}
-	if k, ok := r.Kind("a.count"); !ok || k != KindInt {
-		t.Errorf("Kind(a.count) = %s,%v; want int,true", k, ok)
-	}
-	if _, ok := r.Kind("missing"); ok {
-		t.Error("Kind(missing) reported present")
-	}
 }
 
 // TestSamplerDeltasAndSnapshots drives a counter, a gauge, and a histogram
@@ -65,24 +73,24 @@ func TestGaugeAndEachWalker(t *testing.T) {
 func TestSamplerDeltasAndSnapshots(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	reg := NewRegistry()
-	c := reg.Counter("c")
-	g := reg.Gauge("g")
+	c := intVar(reg, "c")
+	g := intVar(reg, "g")
 	h := reg.Histogram("h")
 
 	s := NewSampler(sched, reg, SamplerConfig{Interval: 10 * sim.Microsecond})
-	c.Add(100) // pre-arm counts baseline into the first delta's floor
+	*c += 100 // pre-arm counts baseline into the first delta's floor
 	s.Arm(0, sim.Time(40*sim.Microsecond))
 
 	at := func(us int, fn func()) { sched.At(sim.Time(sim.Duration(us)*sim.Microsecond), fn) }
-	at(5, func() { c.Add(3); g.Set(10); h.Observe(50) })
-	at(15, func() { c.Add(4); g.Set(2); h.Observe(100); h.Observe(200) })
-	at(35, func() { c.Add(1) })
+	at(5, func() { *c += 3; *g = 10; h.Observe(50) })
+	at(15, func() { *c += 4; *g = 2; h.Observe(100); h.Observe(200) })
+	at(35, func() { *c += 1 })
 	sched.Run()
 
-	if got := s.Ticks(); got != 4 {
-		t.Fatalf("ticks = %d, want 4", got)
+	cs := seriesByName(s, "c")
+	if cs.Len() != 4 {
+		t.Fatalf("ticks = %d, want 4", cs.Len())
 	}
-	cs := s.SeriesByName("c")
 	if cs == nil || cs.Kind != KindInt {
 		t.Fatalf("missing counter series")
 	}
@@ -98,15 +106,12 @@ func TestSamplerDeltasAndSnapshots(t *testing.T) {
 		}
 	}
 
-	gs := s.SeriesByName("g")
-	if gs.Kind != KindGauge {
-		t.Fatalf("g kind = %s", gs.Kind)
-	}
+	gs := seriesByName(s, "g")
 	if p := gs.At(1); p.Value != 2 || p.Delta != -8 {
 		t.Errorf("gauge tick 1 = (v=%d d=%d), want (v=2 d=-8)", p.Value, p.Delta)
 	}
 
-	hs := s.SeriesByName("h")
+	hs := seriesByName(s, "h")
 	if hs.Kind != KindHistogram {
 		t.Fatalf("h kind = %s", hs.Kind)
 	}
@@ -125,16 +130,16 @@ func TestSamplerDeltasAndSnapshots(t *testing.T) {
 func TestSamplerRingEviction(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	reg := NewRegistry()
-	c := reg.Counter("c")
+	c := intVar(reg, "c")
 	s := NewSampler(sched, reg, SamplerConfig{Interval: sim.Microsecond, Capacity: 3})
 	s.Arm(0, sim.Time(10*sim.Microsecond))
 	for i := 1; i <= 10; i++ {
 		i := i
-		sched.AtPrio(sim.Time(sim.Duration(i)*sim.Microsecond), sim.PrioDeliver, func() { c.Add(int64(i)) })
+		sched.AtPrio(sim.Time(sim.Duration(i)*sim.Microsecond), sim.PrioDeliver, func() { *c += int64(i) })
 	}
 	sched.Run()
 
-	ser := s.SeriesByName("c")
+	ser := seriesByName(s, "c")
 	if ser.Len() != 3 {
 		t.Fatalf("retained %d points, want 3", ser.Len())
 	}
@@ -157,20 +162,20 @@ func TestSamplerRingEviction(t *testing.T) {
 func TestSamplerBoundedByDeadline(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	reg := NewRegistry()
-	reg.Counter("c")
+	intVar(reg, "c")
 	s := NewSampler(sched, reg, SamplerConfig{Interval: sim.Microsecond})
 	s.Arm(0, sim.Time(5*sim.Microsecond))
 	end := sched.Run() // would hang here if ticks re-armed forever
 	if want := sim.Time(5 * sim.Microsecond); end != want {
 		t.Errorf("run ended at %v, want %v", end, want)
 	}
-	if s.Ticks() != 5 {
-		t.Errorf("ticks = %d, want 5", s.Ticks())
+	if n := seriesByName(s, "c").Len(); n != 5 {
+		t.Errorf("ticks = %d, want 5", n)
 	}
 
 	var nilS *Sampler
 	nilS.Arm(0, sim.Time(sim.Second)) // must not panic or schedule
-	if nilS.Ticks() != 0 || nilS.Series() != nil || nilS.SeriesByName("c") != nil {
+	if nilS.Series() != nil {
 		t.Error("nil sampler reported state")
 	}
 }
@@ -189,7 +194,7 @@ func TestSamplerSchedulerMetrics(t *testing.T) {
 	s.Arm(0, sim.Time(50*sim.Microsecond))
 	sched.Run()
 
-	fired := s.SeriesByName("sched.fired")
+	fired := seriesByName(s, "sched.fired")
 	if fired == nil {
 		t.Fatal("sched.fired not sampled")
 	}
@@ -203,11 +208,11 @@ func TestSamplerSchedulerMetrics(t *testing.T) {
 	if prev == 0 || uint64(prev) > sched.Fired() {
 		t.Errorf("last sched.fired sample %d out of range (final fired %d)", prev, sched.Fired())
 	}
-	pend := s.SeriesByName("sched.pending")
+	pend := seriesByName(s, "sched.pending")
 	if pend.At(0).Value == 0 {
 		t.Error("sched.pending sampled 0 while 50 events were queued")
 	}
-	if s.SeriesByName("sched.occupancy.l0") == nil || s.SeriesByName("sched.placed.l1") == nil {
+	if seriesByName(s, "sched.occupancy.l0") == nil || seriesByName(s, "sched.placed.l1") == nil {
 		t.Error("per-level scheduler series missing")
 	}
 }

@@ -8,39 +8,6 @@ import (
 	"tradenet/internal/sim"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct{ n int64 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta int64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Gauge is a settable level: where a Counter only accumulates, a gauge
-// tracks a quantity that rises and falls (queue depth, open orders,
-// in-flight replays). Registered through Registry.Gauge so consumers can
-// tell levels from counts without guessing at monotonicity.
-type Gauge struct{ v int64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add moves the gauge by delta (negative deltas allowed).
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v++ }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v-- }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v }
-
 // WindowSeries counts events into fixed-width windows of simulated time:
 // the aggregation behind Figure 2(b) (1-second windows across a trading
 // day) and Figure 2(c) (100-microsecond windows across the busiest second).
@@ -95,46 +62,6 @@ func (w *WindowSeries) WindowStart(i int) sim.Time {
 	return w.start.Add(sim.Duration(i) * w.width)
 }
 
-// WindowEnd returns the exclusive end instant of window i: events at
-// exactly WindowEnd(i) belong to window i+1 (or are dropped past the last).
-func (w *WindowSeries) WindowEnd(i int) sim.Time {
-	return w.start.Add(sim.Duration(i+1) * w.width)
-}
-
-// Window returns window i's half-open boundaries [start, end).
-func (w *WindowSeries) Window(i int) (start, end sim.Time) {
-	return w.WindowStart(i), w.WindowEnd(i)
-}
-
-// Bounds returns the series' overall half-open range [start, end): the
-// instants Record accepts without dropping.
-func (w *WindowSeries) Bounds() (start, end sim.Time) {
-	return w.start, w.WindowEnd(len(w.counts) - 1)
-}
-
-// Each walks every window in index order — a deterministic iterator
-// exposing each window's boundaries alongside its count, so consumers
-// (CSV writers, manifest capture, tests) never recompute the geometry.
-func (w *WindowSeries) Each(fn func(i int, start, end sim.Time, count int64)) {
-	for i, c := range w.counts {
-		fn(i, w.WindowStart(i), w.WindowEnd(i), c)
-	}
-}
-
-// Merge adds o's per-window counts and dropped total into w. The two
-// series must share identical geometry (start, width, window count):
-// merging misaligned series would silently smear events across window
-// boundaries, so that is a panic, not a best-effort.
-func (w *WindowSeries) Merge(o *WindowSeries) {
-	if w.start != o.start || w.width != o.width || len(w.counts) != len(o.counts) {
-		panic("metrics: WindowSeries.Merge geometry mismatch")
-	}
-	for i, c := range o.counts {
-		w.counts[i] += c
-	}
-	w.dropped += o.dropped
-}
-
 // Len returns the number of windows.
 func (w *WindowSeries) Len() int { return len(w.counts) }
 
@@ -182,17 +109,6 @@ func (w *WindowSeries) Median(include func(i int) bool) int64 {
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	return vals[len(vals)/2]
-}
-
-// NonZero returns the number of windows with at least one event.
-func (w *WindowSeries) NonZero() int {
-	n := 0
-	for _, c := range w.counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // WriteCSV emits the series as two columns — window start (in units of

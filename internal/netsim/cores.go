@@ -29,6 +29,8 @@ func (c *CoreSet) Cores() int { return len(c.busy) }
 // Submit queues work of the given CPU cost on the least-loaded core and
 // invokes fn when it completes. It returns the core chosen and the
 // completion time.
+//
+//simlint:allow deadcode: ROADMAP item 8 makes each software hop a server on a CoreSet
 func (c *CoreSet) Submit(cost sim.Duration, fn func()) (core int, done sim.Time) {
 	core = 0
 	for i := 1; i < len(c.busy); i++ {
@@ -58,6 +60,8 @@ func (c *CoreSet) SubmitTo(core int, cost sim.Duration, fn func()) sim.Time {
 
 // QueueDelay returns how long newly submitted work would wait before
 // starting on the given core.
+//
+//simlint:allow deadcode: ROADMAP item 8 makes each software hop a server on a CoreSet
 func (c *CoreSet) QueueDelay(core int) sim.Duration {
 	now := c.sched.Now()
 	if c.busy[core] <= now {
@@ -67,6 +71,8 @@ func (c *CoreSet) QueueDelay(core int) sim.Duration {
 }
 
 // Utilization returns core i's busy fraction over [0, horizon].
+//
+//simlint:allow deadcode: ROADMAP item 8 makes each software hop a server on a CoreSet
 func (c *CoreSet) Utilization(core int, horizon sim.Duration) float64 {
 	if horizon <= 0 {
 		return 0

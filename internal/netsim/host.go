@@ -46,13 +46,6 @@ func (n *NIC) Join(group pkt.IP4) {
 	n.groups[i] = k
 }
 
-// Leave unsubscribes the NIC from a group.
-func (n *NIC) Leave(group pkt.IP4) {
-	if i, joined := n.findGroup(macKey(pkt.MulticastMAC(group))); joined {
-		n.groups = append(n.groups[:i], n.groups[i+1:]...)
-	}
-}
-
 // findGroup scans the sorted keys up to the first one ≥ k: its position is
 // where k is if joined, and where it belongs if not.
 func (n *NIC) findGroup(k uint64) (i int, joined bool) {
@@ -178,11 +171,4 @@ func (n *NIC) Send(f *Frame) bool {
 		f.Origin = n.host.sched.Now()
 	}
 	return n.Port.Send(f)
-}
-
-// SendBytes builds a pooled Frame around data (copying it) and transmits it.
-func (n *NIC) SendBytes(data []byte) bool {
-	f := NewFrameBytes(data)
-	f.Origin = n.host.sched.Now()
-	return n.Send(f)
 }

@@ -223,14 +223,10 @@ func TestHostNICFiltering(t *testing.T) {
 	if nic.Subscriptions() != 1 {
 		t.Fatalf("subs = %d", nic.Subscriptions())
 	}
-	nic.Leave(grp)
-	if nic.Subscriptions() != 0 {
-		t.Fatal("leave failed")
-	}
 }
 
 // TestNICAcceptsFilter pins the destination filter over the packed group
-// set: own unicast, foreign unicast, joined, never-joined and left groups,
+// set: own unicast, foreign unicast, joined and never-joined groups,
 // and group MACs that differ from a joined one in a single byte.
 func TestNICAcceptsFilter(t *testing.T) {
 	h := NewHost(sim.NewScheduler(1), "srv")
@@ -240,10 +236,8 @@ func TestNICAcceptsFilter(t *testing.T) {
 	nic.Join(g2)
 	nic.Join(g2) // idempotent
 	nic.Join(g3)
-	nic.Leave(g2)
-	nic.Leave(pkt.MulticastGroup(9, 9)) // never joined: no-op
-	if nic.Subscriptions() != 2 {
-		t.Fatalf("subscriptions = %d, want 2", nic.Subscriptions())
+	if nic.Subscriptions() != 3 {
+		t.Fatalf("subscriptions = %d, want 3", nic.Subscriptions())
 	}
 	near := pkt.MulticastMAC(g1)
 	near[5] ^= 0x40
@@ -258,7 +252,7 @@ func TestNICAcceptsFilter(t *testing.T) {
 		{"foreign unicast", pkt.HostMAC(8), false},
 		{"joined group", pkt.MulticastMAC(g1), true},
 		{"second joined group", pkt.MulticastMAC(g3), true},
-		{"left group", pkt.MulticastMAC(g2), false},
+		{"third joined group", pkt.MulticastMAC(g2), true},
 		{"foreign group", pkt.MulticastMAC(pkt.MulticastGroup(3, 1)), false},
 		{"joined group, last byte off", near, false},
 		{"joined group, middle byte off", far, false},
@@ -279,8 +273,8 @@ func TestNICAcceptsFilter(t *testing.T) {
 	}
 
 	// The sorted set against a map, at the sizes a NIC sees and well beyond:
-	// joins in random order with duplicates, leaves of joined and absent
-	// groups, leave then re-join, and a probe of every candidate after each.
+	// joins in random order with duplicates, re-joins, and a probe of every
+	// candidate after each.
 	rng := rand.New(rand.NewSource(5))
 	for _, size := range []int{0, 1, 8, 64} {
 		nic := h.AddNIC("md", 7)
@@ -314,13 +308,6 @@ func TestNICAcceptsFilter(t *testing.T) {
 			nic.Join(cands[order[rng.Intn(n+1)]]) // a duplicate
 		}
 		check("joined")
-		for i, g := range cands {
-			if i%3 == 0 {
-				nic.Leave(g) // joined or absent alike
-				delete(ref, pkt.MulticastMAC(g))
-				check("left")
-			}
-		}
 		for i, g := range cands {
 			if i%6 == 0 {
 				nic.Join(g)
@@ -487,9 +474,9 @@ func TestStreamMuxFallback(t *testing.T) {
 	src := n1.Addr(5)
 	sched.At(0, func() {
 		// UDP frame: not TCP, must hit fallback.
-		n1.SendBytes(pkt.AppendUDPFrame(nil, src, n2.Addr(6), 0, []byte("md")))
+		n1.Send(NewFrameBytes(pkt.AppendUDPFrame(nil, src, n2.Addr(6), 0, []byte("md"))))
 		// TCP frame with no registered stream: fallback too.
-		n1.SendBytes(pkt.AppendTCPFrame(nil, src, n2.Addr(7), &pkt.TCP{Flags: pkt.FlagACK}, []byte("??")))
+		n1.Send(NewFrameBytes(pkt.AppendTCPFrame(nil, src, n2.Addr(7), &pkt.TCP{Flags: pkt.FlagACK}, []byte("??"))))
 	})
 	sched.Run()
 	if fallback != 2 {

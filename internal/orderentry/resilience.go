@@ -168,15 +168,6 @@ func (c *ClientSession) Relogon() {
 	c.emit(&Msg{Kind: KindLogonSeq, ExpectedSeq: c.seqIn + 1})
 }
 
-// Logout closes the session gracefully. The exchange treats it like a
-// disconnect for resting orders (mass cancel) but the peer is not dead.
-func (c *ClientSession) Logout() {
-	c.emit(&Msg{Kind: KindLogout})
-	c.logged = false
-	c.liveTick.Cancel()
-	c.liveTick = sim.Handle{}
-}
-
 // EnableRetry arms ack-timeout resubmission: a new order that is not acked
 // within the (exponentially backed-off, capped) deadline is re-emitted with
 // the same client order id, up to MaxResubmits times; then the order is

@@ -282,22 +282,6 @@ func TestResyncRefusedWhenRetainWindowRolled(t *testing.T) {
 	}
 }
 
-func TestLogoutReachesExchange(t *testing.T) {
-	c, e := resilientPair(&wire{})
-	wireEngine(e)
-	var loggedOut bool
-	e.OnLogout = func() { loggedOut = true }
-	c.Logon()
-	c.NewOrder(1, 1, market.Buy, 1000, 10)
-	c.Logout()
-	if !loggedOut {
-		t.Fatal("exchange OnLogout not fired")
-	}
-	if e.LoggedOn() {
-		t.Fatal("exchange still considers the session logged on")
-	}
-}
-
 func TestOverfillCounterFlagsDuplicateExecution(t *testing.T) {
 	c, e := resilientPair(&wire{})
 	e.OnNew = func(m *Msg) { e.Ack(m.OrderID, 1) }

@@ -1,7 +1,5 @@
 package pkt
 
-import "encoding/binary"
-
 // UDPAddr names one side of a UDP exchange in the simulated network.
 type UDPAddr struct {
 	MAC  MAC
@@ -131,52 +129,8 @@ func WireSize(frameLen int) int {
 // paper rounds to 40 because it counts Ethernet addressing as 12).
 const UDPOverhead = EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen
 
-// OverheadShare returns the fraction of a datagram's wire bytes consumed by
-// network plus protocol headers, as in the §3 claim that headers are 25–40%
-// of feed data. protoHeader is the feed's own per-packet header (8–16 B).
-func OverheadShare(payloadLen, protoHeader int) float64 {
-	total := UDPOverhead + protoHeader + payloadLen
-	return float64(UDPOverhead+protoHeader) / float64(total)
-}
-
-// Compact is the §5 "custom transport protocol" ablation: a 8-byte header
-// carrying only what strategies actually read — a stream id for filtering
-// and load balancing, and a sequence number — replacing the 42-byte
-// Ethernet+IPv4+UDP stack's fields that trading software routinely ignores.
-// It still rides in an Ethernet frame (EtherTypeCompact) so L1-switch
-// forwarding works unchanged.
-type Compact struct {
-	Stream uint16 // feed/partition id, usable by hardware filters
-	Seq    uint32 // per-stream sequence number
-	Count  uint16 // messages packed in this frame
-}
-
-// CompactHeaderLen is the encoded size of a Compact header.
+// CompactHeaderLen is the size of the §5 "custom transport protocol"
+// header the overhead experiment costs out: a stream id for filtering and
+// load balancing, a sequence number and a message count (2+4+2 bytes),
+// replacing the IPv4 and UDP headers trading software routinely ignores.
 const CompactHeaderLen = 8
-
-// Encode appends the header to b and returns the extended slice.
-func (h *Compact) Encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, h.Stream)
-	b = binary.BigEndian.AppendUint32(b, h.Seq)
-	return binary.BigEndian.AppendUint16(b, h.Count)
-}
-
-// Decode fills h from the front of b and returns the remaining bytes.
-func (h *Compact) Decode(b []byte) ([]byte, error) {
-	if len(b) < CompactHeaderLen {
-		return nil, ErrTruncated
-	}
-	h.Stream = binary.BigEndian.Uint16(b[0:2])
-	h.Seq = binary.BigEndian.Uint32(b[2:6])
-	h.Count = binary.BigEndian.Uint16(b[6:8])
-	return b[CompactHeaderLen:], nil
-}
-
-// AppendCompactFrame assembles an Ethernet frame with a Compact transport
-// header instead of IP+UDP.
-func AppendCompactFrame(b []byte, src, dst MAC, h *Compact, payload []byte) []byte {
-	eth := Ethernet{Dst: dst, Src: src, EtherType: EtherTypeCompact}
-	b = eth.Encode(b)
-	b = h.Encode(b)
-	return append(b, payload...)
-}

@@ -19,7 +19,8 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(AppendUDPFrame(nil, src, dst, 99, payload), uint32(1), uint32(2), uint16(5000), uint16(30003), uint16(99), payload)
 	tcp := AppendTCPFrame(nil, src, dst, &TCP{Seq: 1000, Flags: FlagACK | FlagPSH}, []byte("NEW ORDER"))
 	f.Add(tcp, uint32(3), uint32(4), uint16(40000), uint16(443), uint16(0), []byte{})
-	f.Add(AppendCompactFrame(nil, src.MAC, dst.MAC, &Compact{}, payload), uint32(0), uint32(0), uint16(0), uint16(0), uint16(0), []byte{})
+	nonIP := Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: 0x88B5} // a local experimental ethertype
+	f.Add(append(nonIP.Encode(nil), payload...), uint32(0), uint32(0), uint16(0), uint16(0), uint16(0), []byte{})
 	f.Add(tcp[:EthernetHeaderLen+IPv4HeaderLen+4], uint32(0), uint32(0), uint16(0), uint16(0), uint16(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte, srcID, dstID uint32, srcPort, dstPort, ipID uint16, payload []byte) {

@@ -26,9 +26,6 @@ const (
 // EtherType values used by the simulator.
 const (
 	EtherTypeIPv4 uint16 = 0x0800
-	// EtherTypeCompact is an experimental ethertype for the §5 "custom
-	// transport protocols" ablation: a compact header replacing IP+UDP.
-	EtherTypeCompact uint16 = 0x88B5 // local experimental ethertype 1
 )
 
 // IP protocol numbers.

@@ -115,7 +115,6 @@ type Controller struct {
 	policy   Policy
 	last     LossSample
 	up, down int
-	stopped  bool
 }
 
 // NewController builds a controller starting in ReplayOnly. It does not
@@ -139,15 +138,10 @@ func (c *Controller) Start() {
 	c.sched.AfterArgs(c.cfg.Window, sim.PrioControl, controllerTick, c, nil)
 }
 
-// Stop halts the loop after the current window.
-func (c *Controller) Stop() { c.stopped = true }
-
-// controllerTick is the closure-free self-rearming tick.
+// controllerTick is the closure-free self-rearming tick. The loop never
+// stops: run a plant with a ticking controller with RunUntil.
 func controllerTick(a, _ any) {
 	c := a.(*Controller)
-	if c.stopped {
-		return
-	}
 	c.evaluate()
 	c.sched.AfterArgs(c.cfg.Window, sim.PrioControl, controllerTick, c, nil)
 }

@@ -341,7 +341,6 @@ func TestControllerHysteresis(t *testing.T) {
 	}
 	c.Start()
 	sched.RunUntil(sim.Time(len(script)) * sim.Time(cfg.Window))
-	c.Stop()
 
 	wantApplied := []Policy{ParityFEC, Duplicate, ParityFEC, ReplayOnly}
 	if len(rec.applied) != len(wantApplied) {

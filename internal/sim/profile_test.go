@@ -38,17 +38,6 @@ func TestSchedulerProfileAccounting(t *testing.T) {
 	if placed == 0 {
 		t.Fatal("no placements recorded")
 	}
-
-	// Profile and occupancy reset with the scheduler.
-	s.Reset(2)
-	if p := s.Profile(); p.Fired != 0 || p.PlacedSingle != 0 || p.Cascades != 0 {
-		t.Fatalf("Reset left profile %+v", p)
-	}
-	for lvl, n := range s.Occupancy() {
-		if n != 0 {
-			t.Fatalf("Reset left occupancy level %d = %d", lvl, n)
-		}
-	}
 }
 
 // Occupancy reflects pending events and drains back to zero after Run.

@@ -188,7 +188,6 @@ type Scheduler struct {
 	fired   uint64
 	pending int
 	rng     *rand.Rand
-	halted  bool
 
 	// single is the fast path for the lone-pending-event regime (timer
 	// chains, drained queues): when the wheel and overflow are empty, the
@@ -223,47 +222,6 @@ func NewScheduler(seed int64) *Scheduler {
 	s.wheel[0] = new([wheelSlots]eventList)
 	s.wheel[1] = new([wheelSlots]eventList)
 	return s
-}
-
-// Reset returns the scheduler to its initial state — time zero, empty
-// queue, fresh RNG seeded with seed — without discarding pooled event
-// storage, so a scheduler reused across replications does not re-allocate.
-func (s *Scheduler) Reset(seed int64) {
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for w := 0; w < wheelWords; w++ {
-			bm := s.occ[lvl][w]
-			for bm != 0 {
-				slot := w<<6 + bits.TrailingZeros64(bm)
-				bm &= bm - 1
-				l := &s.wheel[lvl][slot]
-				for e := l.head; e != nil; {
-					nx := e.next
-					e.level = levelDetached
-					e.next, e.prev = nil, nil
-					s.release(e)
-					e = nx
-				}
-				l.head, l.tail = nil, nil
-			}
-			s.occ[lvl][w] = 0
-		}
-	}
-	for _, e := range s.overflow {
-		e.level = levelDetached
-		s.release(e)
-	}
-	s.overflow = s.overflow[:0]
-	if s.single != nil {
-		s.single.level = levelDetached
-		s.release(s.single)
-		s.single = nil
-	}
-	s.now, s.cur = 0, 0
-	s.posPrio, s.posSeq, s.resEnd = math.MinInt, 0, 0
-	s.seq, s.fired, s.pending = 0, 0, 0
-	s.halted = false
-	s.prof = Profile{}
-	s.rng = rand.New(rand.NewSource(seed))
 }
 
 // Now returns the current simulated time.
@@ -758,10 +716,6 @@ func (s *Scheduler) Every(start Time, period Duration, fn func()) (cancel func()
 	}
 }
 
-// Halt stops the run: Run and RunUntil return after the current event's
-// callback completes.
-func (s *Scheduler) Halt() { s.halted = true }
-
 // step executes the earliest pending event. It reports false when the queue
 // is empty.
 func (s *Scheduler) step() bool {
@@ -793,20 +747,16 @@ func (s *Scheduler) step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Halt is called. It returns
-// the final simulated time: on a drained queue, the later of the last event
-// and the latest reservation (the stand-in for an event that would have
-// fired there); on Halt, the halting event's instant.
+// Run executes events until the queue is empty. It returns the final
+// simulated time: the later of the last event and the latest reservation
+// (the stand-in for an event that would have fired there).
 func (s *Scheduler) Run() Time {
-	s.halted = false
-	for !s.halted && s.step() {
+	for s.step() {
 	}
-	if !s.halted {
-		if s.resEnd > s.now {
-			s.advanceTo(s.resEnd)
-		}
-		s.posPrio = math.MaxInt
+	if s.resEnd > s.now {
+		s.advanceTo(s.resEnd)
 	}
+	s.posPrio = math.MaxInt
 	return s.now
 }
 
@@ -814,8 +764,7 @@ func (s *Scheduler) Run() Time {
 // exactly deadline (even if no event lands there) and returns. Events
 // scheduled after deadline remain pending.
 func (s *Scheduler) RunUntil(deadline Time) Time {
-	s.halted = false
-	for !s.halted {
+	for {
 		e := s.peek()
 		if e == nil || e.at > deadline {
 			break
@@ -825,8 +774,6 @@ func (s *Scheduler) RunUntil(deadline Time) Time {
 	if s.now < deadline {
 		s.advanceTo(deadline)
 	}
-	if !s.halted {
-		s.posPrio = math.MaxInt
-	}
+	s.posPrio = math.MaxInt
 	return s.now
 }

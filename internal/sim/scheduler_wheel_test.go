@@ -105,54 +105,6 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 	}
 }
 
-// --- Reset -------------------------------------------------------------------
-
-func TestSchedulerResetReplaysSeedIdentically(t *testing.T) {
-	workload := func(s *Scheduler) []int64 {
-		var trace []int64
-		var chain func()
-		chain = func() {
-			trace = append(trace, int64(s.Now()))
-			if len(trace) < 200 {
-				jitter := Duration(s.Rand().Intn(5000)) * Nanosecond
-				s.After(jitter+1, chain)
-			}
-		}
-		s.At(0, chain)
-		// Leave some events pending across levels and in overflow so Reset
-		// has real work to do.
-		s.At(Time(500*Second), func() {})
-		s.At(Time(3*Second), func() {})
-		s.RunUntil(Time(Second))
-		return trace
-	}
-	s := NewScheduler(42)
-	first := workload(s)
-	if s.Pending() == 0 {
-		t.Fatal("workload should leave pending events for Reset to clear")
-	}
-	s.Reset(42)
-	if s.Pending() != 0 || s.Now() != 0 || s.Fired() != 0 {
-		t.Fatalf("Reset left state: pending=%d now=%v fired=%d", s.Pending(), s.Now(), s.Fired())
-	}
-	second := workload(s)
-	if len(first) != len(second) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("replay diverges at %d: %d vs %d", i, first[i], second[i])
-		}
-	}
-	// And against a virgin scheduler with the same seed.
-	third := workload(NewScheduler(42))
-	for i := range first {
-		if first[i] != third[i] {
-			t.Fatalf("reset scheduler diverges from fresh scheduler at %d", i)
-		}
-	}
-}
-
 // --- Far-future overflow -----------------------------------------------------
 
 func TestOverflowFarFutureEvents(t *testing.T) {
@@ -596,35 +548,12 @@ func TestRunEndsAtLatestReservation(t *testing.T) {
 	if !s.Passed(r) {
 		t.Fatal("a drained Run leaves nothing ahead of the firing order")
 	}
-	// A halted run stops at the halting event, reservations still ahead.
-	s.After(Nanosecond, s.Halt)
+	// A reservation made after the drain materialises into an event.
 	r2 := s.Reserve(s.Now().Add(Microsecond), PrioDrain)
-	if end := s.Run(); end != Time(51*Nanosecond) {
-		t.Fatalf("halted Run ended at %v, want 51ns", end)
-	}
-	if s.Passed(r2) {
-		t.Fatal("halted Run passed a reservation beyond the halting event")
-	}
 	fired := false
 	s.AtReserved(r2, func(_, _ any) { fired = true }, nil, nil)
 	if end := s.Run(); !fired || end != r2.at {
 		t.Fatalf("materialised event: fired = %v, end = %v, want %v", fired, end, r2.at)
-	}
-}
-
-func TestResetClearsReservations(t *testing.T) {
-	s := NewScheduler(1)
-	s.At(Time(Nanosecond), func() {})
-	s.Reserve(Time(Second), PrioDrain)
-	s.Run()
-	s.Reset(1)
-	first := s.Reserve(0, PrioControl)
-	if s.Passed(first) {
-		t.Fatal("after Reset nothing has fired, yet a reservation at time zero reads as passed")
-	}
-	s.Reset(1)
-	if end := s.Run(); end != 0 {
-		t.Fatalf("Run on a reset scheduler ended at %v: a reservation survived Reset", end)
 	}
 }
 

@@ -166,26 +166,6 @@ func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Time(Nanosecond), func() {
-			n++
-			if n == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if n != 3 {
-		t.Fatalf("ran %d events, want 3", n)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Pending())
-	}
-}
-
 func TestEveryFiresPeriodically(t *testing.T) {
 	s := NewScheduler(1)
 	var at []Time
@@ -316,10 +296,6 @@ func TestAccessorsAndConstructors(t *testing.T) {
 	d := 1500 * Millisecond
 	if d.Seconds() != 1.5 || Time(d).Seconds() != 1.5 {
 		t.Fatal("Seconds broken")
-	}
-	tm := Time(2500 * Nanosecond)
-	if tm.Std() != 2500*time.Nanosecond {
-		t.Fatalf("Time.Std = %v", tm.Std())
 	}
 	if d.Nanoseconds() != 1.5e9 || d.Microseconds() != 1.5e6 {
 		t.Fatal("unit conversions broken")

@@ -56,10 +56,6 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 // Seconds returns t as a float64 count of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Std converts t to a time.Duration, saturating on overflow. Useful only for
-// display; simulation arithmetic stays in picoseconds.
-func (t Time) Std() time.Duration { return Duration(t).Std() }
-
 // String formats t with an automatically chosen unit.
 func (t Time) String() string { return Duration(t).String() }
 

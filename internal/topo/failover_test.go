@@ -45,7 +45,7 @@ func newMcastFixture(sched *sim.Scheduler) *mcastFixture {
 }
 
 func (fx *mcastFixture) send() {
-	fx.sn.SendBytes(pkt.AppendUDPFrame(nil, fx.sn.Addr(30001), fx.dst, 0, make([]byte, 64)))
+	fx.sn.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, fx.sn.Addr(30001), fx.dst, 0, make([]byte, 64))))
 }
 
 func (fx *mcastFixture) wantCounts(t *testing.T, phase string, want int) {
@@ -112,7 +112,7 @@ func TestLeafSpineSpineFailureRehashesUnicast(t *testing.T) {
 	got := 0
 	n2.OnFrame = func(*netsim.NIC, *netsim.Frame) { got++ }
 	send := func() {
-		n1.SendBytes(pkt.AppendUDPFrame(nil, n1.Addr(1), n2.Addr(2), 0, make([]byte, 100)))
+		n1.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, n1.Addr(1), n2.Addr(2), 0, make([]byte, 100))))
 	}
 
 	victim := ls.spineFor(n2.MAC) // the ECMP spine carrying n1→n2
@@ -161,7 +161,7 @@ func TestLeafSpineJoinDuringOutageLandsOnSurvivor(t *testing.T) {
 	n.OnFrame = func(*netsim.NIC, *netsim.Frame) { got++ }
 	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 30001}
 	sched.At(0, func() {
-		sn.SendBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64)))
+		sn.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64))))
 	})
 	sched.Run()
 	if got != 1 {
@@ -208,14 +208,16 @@ func TestL1FabricPathDarkUntilRepair(t *testing.T) {
 	got := 0
 	norm.OnFrame = func(*netsim.NIC, *netsim.Frame) { got++ }
 	send := func() {
-		ex.SendBytes(pkt.AppendUDPFrame(nil, ex.Addr(1),
-			pkt.UDPAddr{MAC: pkt.HostMAC(41), IP: pkt.HostIP(41), Port: 2}, 0, make([]byte, 64)))
+		ex.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, ex.Addr(1),
+			pkt.UDPAddr{MAC: pkt.HostMAC(41), IP: pkt.HostIP(41), Port: 2}, 0, make([]byte, 64))))
 	}
 
 	sched.At(0, send)
-	sched.At(sim.Time(10*sim.Microsecond), func() { f.FailPath(f.ExToNorm, in) })
+	// There is no control plane: a cleared circuit stays dark until the
+	// recorded fan-out is physically reinstalled.
+	sched.At(sim.Time(10*sim.Microsecond), func() { f.ExToNorm.Circuit(in) })
 	sched.At(sim.Time(20*sim.Microsecond), send) // dark: no reroute exists
-	sched.At(sim.Time(30*sim.Microsecond), func() { f.RepairPath(f.ExToNorm, in) })
+	sched.At(sim.Time(30*sim.Microsecond), func() { f.ExToNorm.Circuit(in, f.Circuits(f.ExToNorm)[in]...) })
 	sched.At(sim.Time(40*sim.Microsecond), send)
 	sched.Run()
 

@@ -87,22 +87,6 @@ func (f *L1Fabric) Deliver(sw *device.L1Switch, in int, outs ...int) {
 	sw.Circuit(in, outs...)
 }
 
-// FailPath darkens the circuit fed by input port in on sw: its fan-out is
-// cleared, so frames arriving there terminate in the switch's NoRoute
-// counter. This is the L1 fabric's failure story in full — there is no
-// control plane and no alternate path, so unlike the leaf-spine fabric
-// (which reroutes after a reconvergence delay) a dark path stays dark until
-// someone physically repairs it. The paper's Design 3 buys its nanosecond
-// fan-out at exactly this price.
-func (f *L1Fabric) FailPath(sw *device.L1Switch, in int) {
-	sw.Circuit(in)
-}
-
-// RepairPath reinstalls the circuit Deliver recorded for input port in.
-func (f *L1Fabric) RepairPath(sw *device.L1Switch, in int) {
-	sw.Circuit(in, f.Circuits(sw)[in]...)
-}
-
 // circuits caches per-switch circuit maps for Deliver bookkeeping.
 func (f *L1Fabric) Circuits(sw *device.L1Switch) map[int][]int {
 	if f.circuitMaps == nil {

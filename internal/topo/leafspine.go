@@ -71,9 +71,6 @@ type LeafSpine struct {
 
 	// Reconvergences counts completed control-plane reconvergence passes.
 	Reconvergences int
-
-	// Graph mirrors the wiring for hop analysis.
-	Graph *Graph
 }
 
 // NewLeafSpine builds the fabric: every leaf connects to every spine.
@@ -86,7 +83,6 @@ func NewLeafSpine(sched *sim.Scheduler, cfg LeafSpineConfig) *LeafSpine {
 		groupLeafMembers: make(map[pkt.IP4]map[int][]int),
 		groupSpine:       make(map[pkt.IP4]int),
 		spineDown:        make([]bool, cfg.Spines),
-		Graph:            NewGraph(),
 	}
 	nLeaves := cfg.Racks + 1
 	for s := 0; s < cfg.Spines; s++ {
@@ -102,7 +98,6 @@ func NewLeafSpine(sched *sim.Scheduler, cfg LeafSpineConfig) *LeafSpine {
 		t.nextPort = append(t.nextPort, cfg.Spines)
 		for s := 0; s < cfg.Spines; s++ {
 			netsim.Connect(leaf.Port(s), t.Spines[s].Port(l), cfg.LinkRate, cfg.CableDelay)
-			t.Graph.AddEdge(name, fmt.Sprintf("spine%d", s), 1)
 		}
 	}
 	return t
@@ -154,7 +149,6 @@ func (t *LeafSpine) Attach(leaf int, nic *netsim.NIC) int {
 	port := t.nextPort[leaf]
 	t.nextPort[leaf]++
 	netsim.Connect(lf.Port(port), nic.Port, t.cfg.LinkRate, t.cfg.CableDelay)
-	t.Graph.AddEdge(lf.Name, nic.Port.Name, 1)
 
 	mac := nic.MAC
 	t.hostLeaf[mac] = leaf
@@ -203,44 +197,6 @@ func (t *LeafSpine) Join(group pkt.IP4, nic *netsim.NIC) bool {
 	members[leaf] = append(members[leaf], port)
 
 	return t.installGroup(group)
-}
-
-// Leave unsubscribes a NIC from a group, pruning the tree: the member port
-// leaves the leaf's delivery set, and a leaf with no members left loses its
-// spine branch. The leaf's own table entry persists (its uplink port stays,
-// so local sources can still inject), which means Leave does not shrink
-// leaf table occupancy — matching how mroute state behaves in practice.
-func (t *LeafSpine) Leave(group pkt.IP4, nic *netsim.NIC) {
-	leaf, ok := t.hostLeaf[nic.MAC]
-	if !ok {
-		return
-	}
-	nic.Leave(group)
-	port := t.hostPort[nic.MAC]
-	members := t.groupLeafMembers[group]
-	if members == nil {
-		return
-	}
-	lst := members[leaf]
-	for i, p := range lst {
-		if p == port {
-			members[leaf] = append(lst[:i], lst[i+1:]...)
-			break
-		}
-	}
-	if len(members[leaf]) == 0 {
-		delete(members, leaf)
-	}
-	t.pruneGroup(group, leaf, port)
-}
-
-// pruneGroup removes the member port from the leaf's delivery set and, if
-// the leaf has no members left, drops the spine's branch toward it.
-func (t *LeafSpine) pruneGroup(group pkt.IP4, leaf, port int) {
-	t.Leaves[leaf].LeaveGroup(group, port)
-	if len(t.groupLeafMembers[group][leaf]) == 0 {
-		t.Spines[t.groupSpine[group]].LeaveGroup(group, leaf)
-	}
 }
 
 // installGroup (re)installs the group's tree on every switch touched. The
@@ -431,37 +387,3 @@ func (t *LeafSpine) FabricStats() FabricStats {
 
 // ExchangeLeaf returns the dedicated exchange leaf.
 func (t *LeafSpine) ExchangeLeaf() *device.CommoditySwitch { return t.Leaves[0] }
-
-// SwitchHops returns the number of switches on the unicast path between two
-// attached NICs — the §4.1 accounting unit (3 per host-to-host leg when
-// hosts share no rack: leaf, spine, leaf).
-func (t *LeafSpine) SwitchHops(a, b *netsim.NIC) int {
-	la, ok1 := t.hostLeaf[a.MAC]
-	lb, ok2 := t.hostLeaf[b.MAC]
-	if !ok1 || !ok2 {
-		return -1
-	}
-	if la == lb {
-		return 1
-	}
-	return 3
-}
-
-// TotalMrouteHardware sums hardware-installed groups across all switches.
-func (t *LeafSpine) TotalMrouteHardware() int {
-	n := 0
-	for _, sw := range append(append([]*device.CommoditySwitch{}, t.Leaves...), t.Spines...) {
-		n += sw.HardwareGroups()
-	}
-	return n
-}
-
-// AnySoftwareFallback reports whether any switch has overflowed groups.
-func (t *LeafSpine) AnySoftwareFallback() bool {
-	for _, sw := range append(append([]*device.CommoditySwitch{}, t.Leaves...), t.Spines...) {
-		if sw.SoftwareGroups() > 0 {
-			return true
-		}
-	}
-	return false
-}

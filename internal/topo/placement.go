@@ -68,34 +68,6 @@ func (pp *PlacementProblem) Cost(p Placement) float64 {
 	return c
 }
 
-// LowerBound is the cost if every demand were rack-local — unattainable in
-// general, but it bounds how much optimization can ever help.
-func (pp *PlacementProblem) LowerBound() float64 {
-	var c float64
-	for _, d := range pp.Demands {
-		c += d.Weight
-	}
-	return c
-}
-
-// Feasible reports whether p respects rack capacities and pins.
-func (pp *PlacementProblem) Feasible(p Placement) bool {
-	counts := make([]int, pp.Racks)
-	for i, r := range p {
-		if r < 0 || r >= pp.Racks {
-			return false
-		}
-		counts[r]++
-		if counts[r] > pp.RackCap {
-			return false
-		}
-		if pin, ok := pp.Pinned[i]; ok && pin != r {
-			return false
-		}
-	}
-	return true
-}
-
 // FunctionGrouped returns the §4.1 baseline: components grouped by kind
 // into contiguous racks (pinned components first, then normalizers,
 // strategies, and gateways, each kind starting on a fresh rack). It panics

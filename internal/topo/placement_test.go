@@ -37,7 +37,7 @@ func tradingProblem(nNorm, nStrat, nGw, racks, rackCap int) *PlacementProblem {
 func TestFunctionGroupedIsFeasible(t *testing.T) {
 	pp := tradingProblem(4, 60, 4, 8, 16)
 	p := pp.FunctionGrouped()
-	if !pp.Feasible(p) {
+	if !feasible(pp, p) {
 		t.Fatal("baseline infeasible")
 	}
 	// Exchange pinned to rack 0.
@@ -57,7 +57,12 @@ func TestCostAndLowerBound(t *testing.T) {
 	pp := tradingProblem(2, 8, 2, 4, 8)
 	p := pp.FunctionGrouped()
 	cost := pp.Cost(p)
-	lb := pp.LowerBound()
+	// Every demand rack-local: unattainable in general, but no placement
+	// can cost less.
+	var lb float64
+	for _, d := range pp.Demands {
+		lb += d.Weight
+	}
 	if cost < lb {
 		t.Fatalf("cost %v below lower bound %v", cost, lb)
 	}
@@ -71,7 +76,7 @@ func TestImproveReducesCostAndStaysFeasible(t *testing.T) {
 	base := pp.FunctionGrouped()
 	baseCost := pp.Cost(base)
 	opt, optCost := pp.Improve(base, 50, rand.New(rand.NewSource(3)))
-	if !pp.Feasible(opt) {
+	if !feasible(pp, opt) {
 		t.Fatal("optimized placement infeasible")
 	}
 	if optCost > baseCost {
@@ -91,11 +96,11 @@ func TestImproveReducesCostAndStaysFeasible(t *testing.T) {
 func TestImproveRespectsCapacity(t *testing.T) {
 	pp := tradingProblem(2, 20, 2, 6, 7)
 	base := pp.FunctionGrouped()
-	if !pp.Feasible(base) {
+	if !feasible(pp, base) {
 		t.Fatal("baseline infeasible")
 	}
 	opt, _ := pp.Improve(base, 30, rand.New(rand.NewSource(4)))
-	if !pp.Feasible(opt) {
+	if !feasible(pp, opt) {
 		t.Fatal("capacity violated")
 	}
 }
@@ -125,20 +130,39 @@ func TestFeasibleRejectsBadPlacements(t *testing.T) {
 	p := pp.FunctionGrouped()
 	bad := append(Placement(nil), p...)
 	bad[0] = 1 // violates pin
-	if pp.Feasible(bad) {
+	if feasible(pp, bad) {
 		t.Fatal("pin violation accepted")
 	}
 	bad2 := append(Placement(nil), p...)
 	bad2[1] = 99 // out of range
-	if pp.Feasible(bad2) {
+	if feasible(pp, bad2) {
 		t.Fatal("rack out of range accepted")
 	}
 	// Capacity violation.
 	pp2 := tradingProblem(1, 5, 1, 8, 2)
 	all0 := make(Placement, len(pp2.Components))
-	if pp2.Feasible(all0) {
+	if feasible(pp2, all0) {
 		t.Fatal("capacity violation accepted")
 	}
+}
+
+// feasible reports whether p respects rack capacities and pins: the oracle
+// the placement tests check FunctionGrouped and Improve against.
+func feasible(pp *PlacementProblem, p Placement) bool {
+	counts := make([]int, pp.Racks)
+	for i, r := range p {
+		if r < 0 || r >= pp.Racks {
+			return false
+		}
+		counts[r]++
+		if counts[r] > pp.RackCap {
+			return false
+		}
+		if pin, ok := pp.Pinned[i]; ok && pin != r {
+			return false
+		}
+	}
+	return true
 }
 
 func absf(x float64) float64 {

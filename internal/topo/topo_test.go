@@ -10,35 +10,6 @@ import (
 	"tradenet/internal/units"
 )
 
-func TestGraphShortestPath(t *testing.T) {
-	g := NewGraph()
-	g.AddEdge("a", "b", 1)
-	g.AddEdge("b", "c", 1)
-	g.AddEdge("a", "c", 5)
-	path, w := g.ShortestPath("a", "c")
-	if w != 2 || len(path) != 3 || path[1] != "b" {
-		t.Fatalf("path=%v w=%d", path, w)
-	}
-	if g.Hops("a", "c") != 2 {
-		t.Fatalf("hops = %d", g.Hops("a", "c"))
-	}
-	// Re-adding keeps the smaller weight.
-	g.AddEdge("a", "c", 1)
-	if _, w := g.ShortestPath("a", "c"); w != 1 {
-		t.Fatalf("w = %d after better edge", w)
-	}
-	g.AddEdge("a", "c", 9)
-	if _, w := g.ShortestPath("a", "c"); w != 1 {
-		t.Fatal("worse re-add should be ignored")
-	}
-	if g.Hops("a", "zz") != -1 {
-		t.Fatal("unreachable should be -1")
-	}
-	if g.Nodes() != 3 {
-		t.Fatalf("nodes = %d", g.Nodes())
-	}
-}
-
 func smallLeafSpine(sched *sim.Scheduler) LeafSpineConfig {
 	cfg := DefaultLeafSpineConfig()
 	cfg.Racks = 3
@@ -53,9 +24,14 @@ func TestLeafSpineWiringAndGraph(t *testing.T) {
 	if len(ls.Leaves) != 4 || len(ls.Spines) != 2 {
 		t.Fatalf("leaves=%d spines=%d", len(ls.Leaves), len(ls.Spines))
 	}
-	// Any two leaves are 2 graph hops apart (via a spine).
-	if h := ls.Graph.Hops("leaf1", "leaf3"); h != 2 {
-		t.Fatalf("leaf-leaf hops = %d", h)
+	// The graph is complete bipartite: leaf l's port s is cabled to spine
+	// s's port l, so any two leaves are two hops apart via any spine.
+	for l, leaf := range ls.Leaves {
+		for s, spine := range ls.Spines {
+			if leaf.Port(s).Peer() != spine.Port(l) {
+				t.Fatalf("leaf %d port %d is not cabled to spine %d port %d", l, s, s, l)
+			}
+		}
 	}
 	if ls.ExchangeLeaf() != ls.Leaves[0] {
 		t.Fatal("exchange leaf is leaf 0")
@@ -77,7 +53,7 @@ func TestLeafSpineUnicastAcrossFabric(t *testing.T) {
 	n2.OnFrame = func(_ *netsim.NIC, f *netsim.Frame) { gotAt = sched.Now() }
 	payload := make([]byte, 100)
 	sched.At(0, func() {
-		n1.SendBytes(pkt.AppendUDPFrame(nil, n1.Addr(1), n2.Addr(2), 0, payload))
+		n1.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, n1.Addr(1), n2.Addr(2), 0, payload)))
 	})
 	sched.Run()
 	if gotAt == 0 {
@@ -85,22 +61,9 @@ func TestLeafSpineUnicastAcrossFabric(t *testing.T) {
 	}
 	// Path: NIC ser + 4 cable hops (host-leaf, leaf-spine, spine-leaf,
 	// leaf-host) + 3 switch latencies of 500ns.
-	if hops := ls.SwitchHops(n1, n2); hops != 3 {
-		t.Fatalf("switch hops = %d", hops)
-	}
 	minLatency := sim.Time(3 * 500 * sim.Nanosecond)
 	if gotAt < minLatency {
 		t.Fatalf("arrival %v faster than 3 switch hops", gotAt)
-	}
-	// Same-leaf hosts pass one switch.
-	h3 := netsim.NewHost(sched, "h3")
-	n3 := h3.AddNIC("x", 3)
-	ls.Attach(1, n3)
-	if ls.SwitchHops(n1, n3) != 1 {
-		t.Fatal("same-leaf hops != 1")
-	}
-	if ls.SwitchHops(n1, &netsim.NIC{}) != -1 {
-		t.Fatal("unattached should be -1")
 	}
 }
 
@@ -127,7 +90,7 @@ func TestLeafSpineMulticastTree(t *testing.T) {
 
 	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 30001}
 	sched.At(0, func() {
-		sn.SendBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64)))
+		sn.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64))))
 	})
 	sched.Run()
 	if len(rx) != 3 {
@@ -152,7 +115,7 @@ func TestLeafSpineMulticastNoDuplicates(t *testing.T) {
 	un.OnFrame = func(*netsim.NIC, *netsim.Frame) { got++ }
 	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 30001}
 	sched.At(0, func() {
-		sn.SendBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64)))
+		sn.Send(netsim.NewFrameBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64))))
 	})
 	sched.Run()
 	if got != 1 {
@@ -175,17 +138,23 @@ func TestLeafSpineMrouteAccounting(t *testing.T) {
 			t.Fatalf("group %d should fit (capacity 3)", i)
 		}
 	}
-	if ls.AnySoftwareFallback() {
+	softwareGroups := func() (n int) {
+		for _, sw := range append(append([]*device.CommoditySwitch{}, ls.Leaves...), ls.Spines...) {
+			n += sw.SoftwareGroups()
+		}
+		return n
+	}
+	if softwareGroups() != 0 {
 		t.Fatal("no overflow expected yet")
 	}
 	if ls.Join(pkt.MulticastGroup(1, 99), n) {
 		t.Fatal("fourth group should not fit in hardware")
 	}
-	if !ls.AnySoftwareFallback() {
+	if softwareGroups() == 0 {
 		t.Fatal("fourth group should overflow the 3-entry tables")
 	}
-	if ls.TotalMrouteHardware() == 0 {
-		t.Fatal("hardware accounting empty")
+	if ls.Leaves[1].HardwareGroups() != 3 {
+		t.Fatalf("leaf 1 holds %d groups in hardware, want 3", ls.Leaves[1].HardwareGroups())
 	}
 }
 
@@ -222,7 +191,7 @@ func TestL1FabricEndToEndLatency(t *testing.T) {
 	normNIC.OnFrame = func(*netsim.NIC, *netsim.Frame) { at = sched.Now() }
 	payload := make([]byte, 100)
 	frame := pkt.AppendUDPFrame(nil, exNIC.Addr(1), pkt.UDPAddr{MAC: pkt.HostMAC(41), IP: pkt.HostIP(41), Port: 2}, 0, payload)
-	sched.At(0, func() { exNIC.SendBytes(frame) })
+	sched.At(0, func() { exNIC.Send(netsim.NewFrameBytes(frame)) })
 	sched.Run()
 
 	ser := sim.Time(units.SerializationDelay(pkt.WireSize(len(frame))+netsim.FrameOverheadBytes, units.Rate10G))
@@ -255,73 +224,9 @@ func TestL1FabricMergeViaSharedOutput(t *testing.T) {
 	mk := func(nic *netsim.NIC) []byte {
 		return pkt.AppendUDPFrame(nil, nic.Addr(1), pkt.UDPAddr{MAC: pkt.HostMAC(52), IP: pkt.HostIP(52), Port: 2}, 0, make([]byte, 64))
 	}
-	sched.At(0, func() { n1.SendBytes(mk(n1)); n2.SendBytes(mk(n2)) })
+	sched.At(0, func() { n1.Send(netsim.NewFrameBytes(mk(n1))); n2.Send(netsim.NewFrameBytes(mk(n2))) })
 	sched.Run()
 	if got != 2 {
 		t.Fatalf("merged frames = %d", got)
-	}
-}
-
-func TestLeafSpineLeavePrunesTree(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	ls := NewLeafSpine(sched, smallLeafSpine(sched))
-	src := netsim.NewHost(sched, "src")
-	sn := src.AddNIC("md", 10)
-	ls.Attach(0, sn)
-
-	grp := pkt.MulticastGroup(1, 5)
-	var counts [2]int
-	var nics []*netsim.NIC
-	for i := 0; i < 2; i++ {
-		h := netsim.NewHost(sched, "sub")
-		n := h.AddNIC("md", uint32(20+i))
-		ls.Attach(1+i, n)
-		idx := i
-		n.OnFrame = func(*netsim.NIC, *netsim.Frame) { counts[idx]++ }
-		ls.Join(grp, n)
-		nics = append(nics, n)
-	}
-	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 30001}
-	send := func() {
-		sn.SendBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64)))
-	}
-	sched.At(0, send)
-	sched.Run()
-	if counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("pre-leave counts = %v", counts)
-	}
-	// Subscriber 1 leaves: only subscriber 0 receives the next frame, and
-	// the spine no longer wastes a branch toward leaf 2.
-	ls.Leave(grp, nics[1])
-	sched.After(0, send)
-	sched.Run()
-	if counts[0] != 2 || counts[1] != 1 {
-		t.Fatalf("post-leave counts = %v", counts)
-	}
-	// Leave of an unattached NIC is a no-op.
-	ls.Leave(grp, &netsim.NIC{})
-}
-
-func TestLeafSpineLeaveLastMemberStopsDelivery(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	ls := NewLeafSpine(sched, smallLeafSpine(sched))
-	src := netsim.NewHost(sched, "src")
-	sn := src.AddNIC("md", 10)
-	ls.Attach(0, sn)
-	sub := netsim.NewHost(sched, "sub")
-	n := sub.AddNIC("md", 21)
-	ls.Attach(1, n)
-	got := 0
-	n.OnFrame = func(*netsim.NIC, *netsim.Frame) { got++ }
-	grp := pkt.MulticastGroup(1, 8)
-	ls.Join(grp, n)
-	ls.Leave(grp, n)
-	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 30001}
-	sched.At(0, func() {
-		sn.SendBytes(pkt.AppendUDPFrame(nil, sn.Addr(30001), dst, 0, make([]byte, 64)))
-	})
-	sched.Run()
-	if got != 0 {
-		t.Fatalf("delivered %d after leave", got)
 	}
 }

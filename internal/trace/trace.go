@@ -82,21 +82,13 @@ const (
 	EndLost
 	// EndPurged: flushed from a queue by a device failure.
 	EndPurged
-	// EndDeduped: a redundant WAN copy discarded by the redundancy layer —
-	// its sequence had already been delivered or held (send-twice working
-	// as intended).
-	EndDeduped
-	// EndReconstructed: a parity frame spent rebuilding a lost groupmate —
-	// the frame's bytes live on in the reconstructed datagram, with no
-	// replay round trip.
-	EndReconstructed
 	// EndCrashed: the process that would have handled the message died
 	// before its engine event fired — the order-entry shape of an exchange
 	// failover, healed by client resubmission against the promoted standby.
 	EndCrashed
 
 	// NumEnds sizes per-end accumulation arrays.
-	NumEnds = 10
+	NumEnds = 8
 )
 
 // String returns the end kind's label.
@@ -116,10 +108,6 @@ func (e End) String() string {
 		return "lost"
 	case EndPurged:
 		return "purged"
-	case EndDeduped:
-		return "deduped"
-	case EndReconstructed:
-		return "reconstructed"
 	case EndCrashed:
 		return "crashed"
 	}
@@ -310,17 +298,4 @@ func (r *Recorder) Created() int {
 		return 0
 	}
 	return r.created
-}
-
-// Reset recycles every finished context and clears the sampling counters, so
-// one recorder serves many replications without re-allocating.
-func (r *Recorder) Reset() {
-	for _, c := range r.done {
-		c.end = EndNone
-		r.free = append(r.free, c)
-	}
-	r.done = r.done[:0]
-	r.forkSeq = r.forkSeq[:0]
-	r.counter, r.nextID = 0, 0
-	r.created = 0
 }

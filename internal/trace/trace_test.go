@@ -139,24 +139,6 @@ func TestFinishIdempotentAndDoneOrder(t *testing.T) {
 	}
 }
 
-func TestResetRecyclesContexts(t *testing.T) {
-	r := NewRecorder(1, 2)
-	a := r.Start(us(1))
-	a.Record("x", CauseSoftware, us(2))
-	a.Finish(EndConsumed)
-	r.Reset()
-	if r.Created() != 0 || len(r.Done()) != 0 {
-		t.Fatal("Reset must clear created count and done list")
-	}
-	b := r.Start(us(10))
-	if b != a {
-		t.Fatal("Reset must recycle finished contexts through the free list")
-	}
-	if len(b.Spans()) != 0 || b.Terminal() != EndNone || b.Start() != us(10) {
-		t.Fatalf("recycled context not clean: spans=%d end=%v start=%v", len(b.Spans()), b.Terminal(), b.Start())
-	}
-}
-
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	if r.Start(us(1)) != nil {

@@ -56,15 +56,6 @@ func SerializationDelay(bytes int, b Bandwidth) sim.Duration {
 	return sim.Duration(bits * int64(sim.Second) / int64(b))
 }
 
-// BytesIn returns how many whole bytes a link of rate b can serialize in d.
-func BytesIn(d sim.Duration, b Bandwidth) int64 {
-	if d < 0 {
-		return 0
-	}
-	bits := int64(b) * int64(d) / int64(sim.Second)
-	return bits / 8
-}
-
 // Distance is a path length in meters.
 type Distance float64
 

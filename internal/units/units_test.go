@@ -3,9 +3,6 @@ package units
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"tradenet/internal/sim"
 )
 
 func TestSerializationDelay10G(t *testing.T) {
@@ -32,20 +29,6 @@ func TestSerializationDelayScalesInversely(t *testing.T) {
 	d40 := SerializationDelay(1000, Rate40G)
 	if d10 != 4*d40 {
 		t.Fatalf("10G/40G delay ratio: %v vs %v", d10, d40)
-	}
-}
-
-func TestBytesInInvertsSerialization(t *testing.T) {
-	f := func(n uint16) bool {
-		bytes := int(n)
-		d := SerializationDelay(bytes, Rate10G)
-		return BytesIn(d, Rate10G) == int64(bytes)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if BytesIn(-sim.Nanosecond, Rate10G) != 0 {
-		t.Fatal("negative duration should carry zero bytes")
 	}
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"tradenet/internal/sim"
@@ -99,30 +98,4 @@ func (c *CorrelatedFeeds) Generate(sched *sim.Scheduler, start, end sim.Time, fn
 			sched.At(firstAt, step)
 		}
 	}
-}
-
-// Correlation computes the Pearson correlation between two count series —
-// the test statistic for burst coupling.
-func Correlation(a, b []int64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	n := float64(len(a))
-	var sa, sb float64
-	for i := range a {
-		sa += float64(a[i])
-		sb += float64(b[i])
-	}
-	ma, mb := sa/n, sb/n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := float64(a[i])-ma, float64(b[i])-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / (math.Sqrt(va) * math.Sqrt(vb))
 }

@@ -355,9 +355,9 @@ func TestCorrelatedFeedsBurstTogether(t *testing.T) {
 	}
 
 	ca, cb := countsCorrelated()
-	corr := Correlation(ca, cb)
+	corr := correlation(ca, cb)
 	ia, ib := countsIndependent()
-	indep := Correlation(ia, ib)
+	indep := correlation(ia, ib)
 	if corr < 0.5 {
 		t.Fatalf("correlated feeds correlation = %.2f, want strong", corr)
 	}
@@ -387,16 +387,42 @@ func TestCorrelatedFeedsValidation(t *testing.T) {
 }
 
 func TestCorrelationStatistic(t *testing.T) {
-	if c := Correlation([]int64{1, 2, 3}, []int64{2, 4, 6}); c < 0.999 {
+	if c := correlation([]int64{1, 2, 3}, []int64{2, 4, 6}); c < 0.999 {
 		t.Fatalf("perfect correlation = %v", c)
 	}
-	if c := Correlation([]int64{1, 2, 3}, []int64{3, 2, 1}); c > -0.999 {
+	if c := correlation([]int64{1, 2, 3}, []int64{3, 2, 1}); c > -0.999 {
 		t.Fatalf("perfect anticorrelation = %v", c)
 	}
-	if Correlation([]int64{1, 1}, []int64{2, 3}) != 0 {
+	if correlation([]int64{1, 1}, []int64{2, 3}) != 0 {
 		t.Fatal("zero-variance input should yield 0")
 	}
-	if Correlation([]int64{1}, []int64{1, 2}) != 0 {
+	if correlation([]int64{1}, []int64{1, 2}) != 0 {
 		t.Fatal("length mismatch should yield 0")
 	}
+}
+
+// correlation computes the Pearson correlation between two count series —
+// the test statistic for burst coupling.
+func correlation(a, b []int64) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	n := float64(len(a))
+	var sa, sb float64
+	for i := range a {
+		sa += float64(a[i])
+		sb += float64(b[i])
+	}
+	ma, mb := sa/n, sb/n
+	var cov, va, vb float64
+	for i := range a {
+		da, db := float64(a[i])-ma, float64(b[i])-mb
+		cov += da * db
+		va += da * da
+		vb += db * db
+	}
+	if va == 0 || vb == 0 {
+		return 0
+	}
+	return cov / (math.Sqrt(va) * math.Sqrt(vb))
 }
