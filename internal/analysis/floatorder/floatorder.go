@@ -56,7 +56,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkDecl(pass *analysis.Pass, fn string, body ast.Node) {
+func checkDecl(pass *analysis.Pass, name string, body ast.Node) {
 	info := pass.TypesInfo
 
 	// Does this function fan out via RunParallel? If so, every loop in it
@@ -101,10 +101,10 @@ func checkDecl(pass *analysis.Pass, fn string, body ast.Node) {
 				switch {
 				case mapRange > 0:
 					pass.Reportf(n.Pos(),
-						"float accumulation in %s driven by map iteration; fold order is randomized per run — sum integers or iterate sorted keys", fn)
+						"float accumulation in %s driven by map iteration; fold order is randomized per run — sum integers or iterate sorted keys", name)
 				case merges && loops > 0:
 					pass.Reportf(n.Pos(),
-						"float accumulation in cross-worker merge %s (fans out via RunParallel); pin the fold to index order and justify with //simlint:allow floatorder, or sum integers", fn)
+						"float accumulation in cross-worker merge %s (fans out via RunParallel); pin the fold to index order and justify with //simlint:allow floatorder, or sum integers", name)
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, fn string, body ast.Node) {
+func checkBody(pass *analysis.Pass, name string, body ast.Node) {
 	info := pass.TypesInfo
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -53,14 +53,14 @@ func checkBody(pass *analysis.Pass, fn string, body ast.Node) {
 				if v := pkgLevelVar(info, lhs); v != nil {
 					pass.Reportf(lhs.Pos(),
 						"write to package-level var %s.%s from run-reachable %s; runs must not share mutable state — move it into per-run state",
-						v.Pkg().Name(), v.Name(), fn)
+						v.Pkg().Name(), v.Name(), name)
 				}
 			}
 		case *ast.IncDecStmt:
 			if v := pkgLevelVar(info, n.X); v != nil {
 				pass.Reportf(n.Pos(),
 					"write to package-level var %s.%s from run-reachable %s; runs must not share mutable state — move it into per-run state",
-					v.Pkg().Name(), v.Name(), fn)
+					v.Pkg().Name(), v.Name(), name)
 			}
 		case *ast.UnaryExpr:
 			if n.Op != token.AND {
@@ -69,7 +69,7 @@ func checkBody(pass *analysis.Pass, fn string, body ast.Node) {
 			if v := pkgLevelVar(info, n.X); v != nil {
 				pass.Reportf(n.Pos(),
 					"address of package-level var %s.%s taken in run-reachable %s; the alias enables shared writes across runs",
-					v.Pkg().Name(), v.Name(), fn)
+					v.Pkg().Name(), v.Name(), name)
 			}
 		case *ast.CallExpr:
 			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
@@ -93,7 +93,7 @@ func checkBody(pass *analysis.Pass, fn string, body ast.Node) {
 			}
 			pass.Reportf(n.Pos(),
 				"pointer-receiver call %s.%s on package-level var %s.%s in run-reachable %s; shared mutable state across runs",
-				v.Name(), fn.Name(), v.Pkg().Name(), v.Name(), fn)
+				v.Name(), fn.Name(), v.Pkg().Name(), v.Name(), name)
 		}
 		return true
 	})

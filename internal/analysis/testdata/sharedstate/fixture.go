@@ -28,7 +28,7 @@ func RunScenario(n int) int {
 	counter = n      // want `write to package-level var fixture.counter`
 	table["k"] = n   // want `write to package-level var fixture.table`
 	p := &counter    // want `address of package-level var fixture.counter`
-	_ = pool.Get()   // want `pointer-receiver call pool.Get on package-level var fixture.pool`
+	_ = pool.Get()   // want `pointer-receiver call pool.Get on package-level var fixture.pool in run-reachable RunScenario;`
 	_ = ptrVar.Get() // pointer-typed var: a read, not flagged
 	helper(n)
 	local(n)
