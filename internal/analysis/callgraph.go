@@ -342,13 +342,8 @@ func (p *Program) reachFrom(isRoot func(*CGNode) bool) map[FuncID]bool {
 	cg := p.CallGraph()
 	seen := map[FuncID]bool{}
 	var queue []FuncID
-	ids := make([]FuncID, 0, len(cg.Nodes))
-	for id := range cg.Nodes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if isRoot(cg.Nodes[id]) {
+	for id, n := range cg.Nodes {
+		if isRoot(n) {
 			seen[id] = true
 			queue = append(queue, id)
 		}
@@ -374,12 +369,15 @@ func (p *Program) reachFrom(isRoot func(*CGNode) bool) map[FuncID]bool {
 // "Run" (RunParallel, RunFailover, Scheduler.RunUntil, ...). Anything one of
 // those can reach — including through callbacks, interface dispatch and
 // package-level tables of closures — executes inside a simulation run and
-// is bound by the parallel-safety contract.
+// is bound by the parallel-safety contract. The linter's own packages run
+// no simulation: their Run* functions (RunAnalyzers, RunReachable,
+// analysistest.Run) are not entry points.
 func (p *Program) RunReachable(id FuncID) bool {
 	if p.reach == nil {
 		p.reach = p.reachFrom(func(n *CGNode) bool {
 			return n.Decl != nil && strings.HasPrefix(n.Name, "Run") && ast.IsExported(n.Name) &&
-				strings.HasPrefix(n.Pkg.ImportPath, ModulePath)
+				strings.HasPrefix(n.Pkg.ImportPath, ModulePath) &&
+				!strings.HasPrefix(n.Pkg.ImportPath, ModulePath+"/internal/analysis")
 		})
 	}
 	return p.reach[id]

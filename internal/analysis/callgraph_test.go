@@ -8,11 +8,15 @@ import (
 )
 
 // loadCallgraphFixture loads the callgraph fixture as a one-package
-// Program.
+// Program under fixturePath.
 func loadCallgraphFixture(t *testing.T) *analysis.Program {
+	return loadCallgraphFixtureAt(t, fixturePath)
+}
+
+func loadCallgraphFixtureAt(t *testing.T, importPath string) *analysis.Program {
 	t.Helper()
 	dir := filepath.Join("testdata", "callgraph")
-	pkg, err := analysis.LoadDir(dir, "tradenet/internal/fixture", nil)
+	pkg, err := analysis.LoadDir(dir, importPath, nil)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -106,6 +110,19 @@ func TestRunReachability(t *testing.T) {
 	for _, suffix := range []string{".orphan", ".orphanCallee", ".(Decoy).Handle", ".unusedTable"} {
 		if prog.RunReachable(analysis.FuncID(fixturePath + suffix)) {
 			t.Errorf("%s must not be reachable from RunFixture", suffix)
+		}
+	}
+}
+
+// The linter's own packages run no simulation: the same fixture loaded as a
+// package of the linter has no run entry point, so its Run* function and
+// what it calls are not run-reachable.
+func TestLinterPackagesHaveNoRunRoots(t *testing.T) {
+	const path = "tradenet/internal/analysis/fixture"
+	prog := loadCallgraphFixtureAt(t, path)
+	for _, suffix := range []string{".RunFixture", ".leaf", ".invoke"} {
+		if prog.RunReachable(analysis.FuncID(path + suffix)) {
+			t.Errorf("%s is run-reachable in a linter package", suffix)
 		}
 	}
 }

@@ -14,8 +14,10 @@
 //     NIC.Send, Stream.Write, device JoinGroup/LeaveGroup/Learn —
 //     mroute/FIB insertion order decides hardware-vs-software placement
 //     when tables overflow),
-//   - invoke a func-typed value (delivery callbacks: in this event-driven
-//     codebase a callback is how frames and messages propagate).
+//   - invoke a func-typed value in code a simulation run can reach (from a
+//     Run* entry point; Program.RunReachable): in this event-driven codebase
+//     a callback is how frames and messages propagate. Code no run reaches,
+//     such as a linter's graph walk, calls func values that schedule nothing.
 //
 // The fix is to iterate sorted keys (or restructure around a slice or an
 // index); provably order-independent loops (pure min/max/sum reductions)
@@ -54,6 +56,7 @@ var Analyzer = &analysis.Analyzer{
 type funcInfo struct {
 	decl     *ast.FuncDecl
 	ownSink  bool
+	callback bool // invokes a func-typed value
 	callees  []*types.Func
 	mapRange []*ast.RangeStmt
 }
@@ -71,7 +74,11 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				continue
 			}
-			infos[obj] = inspect(pass, fd)
+			fi := inspect(pass, fd)
+			if fi.callback && pass.Prog.RunReachable(analysis.IDOf(obj)) {
+				fi.ownSink = true
+			}
+			infos[obj] = fi
 			order = append(order, obj)
 		}
 	}
@@ -115,9 +122,10 @@ func inspect(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 			}
 			fn := analysis.CalleeFunc(pass.TypesInfo, n)
 			if fn == nil {
-				// Dynamic call of a func-typed value: a delivery callback.
+				// Dynamic call of a func-typed value: a delivery callback
+				// if a run reaches this function.
 				if !isBuiltin(pass.TypesInfo, n) {
-					fi.ownSink = true
+					fi.callback = true
 				}
 				return true
 			}

@@ -50,10 +50,22 @@ func Notify(s *sim.Scheduler, subs map[int]sim.Time) {
 	}
 }
 
-// Callbacks invokes func-typed values: in this codebase a callback is how
-// frames and messages propagate, so the dynamic call is a sink.
+// Callbacks invokes func-typed values inside a run: in this codebase a
+// callback is how frames and messages propagate, so the dynamic call is a
+// sink.
 func Callbacks(handlers map[int]func()) {
 	for _, h := range handlers { // want `range over a map in Callbacks`
 		h()
+	}
+}
+
+// RunHandlers is a run entry point; it reaches Callbacks.
+func RunHandlers(handlers map[int]func()) { Callbacks(handlers) }
+
+// Walk calls a func-typed value inside a map range, but no run reaches it:
+// like a linter's graph walk, it schedules nothing.
+func Walk(graph map[int][]int, visit func(int)) {
+	for n := range graph {
+		visit(n)
 	}
 }

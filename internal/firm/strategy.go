@@ -237,10 +237,7 @@ func (s *Strategy) apply(m *feed.Msg, origin sim.Time) {
 			book.Cancel(oid)
 		}
 	case feed.MsgReduceSize, feed.MsgOrderExecuted:
-		if book = s.orders.BookOf(oid); book != nil {
-			o, _ := book.Lookup(oid)
-			book.Modify(oid, o.Price, max(o.Qty-market.Qty(m.Qty), 0))
-		}
+		book = s.orders.Reduce(oid, market.Qty(m.Qty))
 	case feed.MsgModifyOrder:
 		if book = s.orders.BookOf(oid); book != nil {
 			book.Modify(oid, market.Price(m.Price), market.Qty(m.Qty))

@@ -112,10 +112,10 @@ func (b *Book) enqueue(slot int32) {
 	b.n++
 }
 
-// dequeue unlinks the order at slot from level i of its side, dropping the
-// level if that empties it, and frees the slot. The caller removes the id
-// from the index.
-func (b *Book) dequeue(lvls *[]level, i int, slot int32) {
+// dequeue unlinks the order at slot, whose id sits in index cell pos, from
+// level i of its side, dropping the level if that empties it, and forgets
+// the order.
+func (b *Book) dequeue(lvls *[]level, i, pos int, slot int32) {
 	s := b.store
 	o, lvl := s.at(slot), &(*lvls)[i]
 	if o.prev != 0 {
@@ -133,7 +133,7 @@ func (b *Book) dequeue(lvls *[]level, i int, slot int32) {
 	if lvl.n == 0 {
 		*lvls = append((*lvls)[:i], (*lvls)[i+1:]...)
 	}
-	s.release(slot)
+	s.forget(pos, slot)
 	b.n--
 }
 
@@ -168,13 +168,13 @@ func (b *Book) notifyIfBBOChanged() {
 //
 // An order whose id is already live is ignored. Ids are per exchange, not
 // per symbol, so that includes an id resting in another book of the same
-// store.
+// store. The order's Symbol is not read: an order in b is on b's symbol.
 func (b *Book) Add(o Order) []Fill {
 	if o.Qty <= 0 {
 		return nil
 	}
 	s := b.store
-	pos, dup := s.index.find(o.ID)
+	pos, dup := s.find(o.ID)
 	if dup != 0 {
 		return nil
 	}
@@ -191,18 +191,17 @@ func (b *Book) Add(o Order) []Fill {
 			(*opp)[top].size -= qty
 			break
 		}
-		restPos, _ := s.index.find(rest.ID)
-		s.index.remove(restPos)
-		b.dequeue(opp, top, slot)
+		restPos, _ := s.find(rest.ID)
+		b.dequeue(opp, top, restPos, slot)
 	}
 	if o.Qty > 0 {
 		if len(fills) > 0 {
 			// Every fill consumed its resting order (o has quantity left), and
 			// removing those ids may have shifted the cell found for o.ID.
-			pos, _ = s.index.find(o.ID)
+			pos, _ = s.find(o.ID)
 		}
 		slot := s.alloc()
-		s.at(slot).Order = o
+		*s.at(slot) = bookOrder{ID: o.ID, Price: o.Price, Qty: o.Qty, Side: o.Side}
 		b.enqueue(slot)
 		s.index.insert(pos, o.ID, slot)
 	}
@@ -214,7 +213,7 @@ func (b *Book) Add(o Order) []Fill {
 // resting returns the index cell and slab slot of order id if it rests in
 // this book; slot 0 means it does not.
 func (b *Book) resting(id OrderID) (pos int, slot int32) {
-	pos, slot = b.store.index.find(id)
+	pos, slot = b.store.find(id)
 	if slot != 0 && b.store.at(slot).book != b.idx {
 		slot = 0
 	}
@@ -229,13 +228,17 @@ func (b *Book) Cancel(id OrderID) bool {
 	if slot == 0 {
 		return false
 	}
+	b.cancelAt(pos, slot)
+	return true
+}
+
+// cancelAt removes the order at slot, whose id sits in index cell pos.
+func (b *Book) cancelAt(pos int, slot int32) {
 	o := b.store.at(slot)
 	lvls := b.side(o.Side)
 	i, _ := findLevel(*lvls, o.Side, o.Price)
-	b.store.index.remove(pos)
-	b.dequeue(lvls, i, slot)
+	b.dequeue(lvls, i, pos, slot)
 	b.notifyIfBBOChanged()
-	return true
 }
 
 // Modify changes a resting order's price and/or quantity. Price changes and
@@ -244,10 +247,15 @@ func (b *Book) Cancel(id OrderID) bool {
 // decrease keeps priority. It returns any fills from re-entry and whether
 // the order was live.
 func (b *Book) Modify(id OrderID, price Price, qty Qty) ([]Fill, bool) {
-	_, slot := b.resting(id)
+	pos, slot := b.resting(id)
 	if slot == 0 {
 		return nil, false
 	}
+	return b.modifyAt(pos, slot, price, qty), true
+}
+
+// modifyAt is Modify of the order at slot, whose id sits in index cell pos.
+func (b *Book) modifyAt(pos int, slot int32, price Price, qty Qty) []Fill {
 	o := b.store.at(slot)
 	if price == o.Price && qty < o.Qty && qty > 0 {
 		lvls := *b.side(o.Side)
@@ -255,15 +263,14 @@ func (b *Book) Modify(id OrderID, price Price, qty Qty) ([]Fill, bool) {
 		lvls[i].size -= o.Qty - qty
 		o.Qty = qty
 		b.notifyIfBBOChanged()
-		return nil, true
+		return nil
 	}
-	sym, side := o.Symbol, o.Side
-	b.Cancel(id)
+	id, side := o.ID, o.Side
+	b.cancelAt(pos, slot)
 	if qty <= 0 {
-		return nil, true
+		return nil
 	}
-	fills := b.Add(Order{ID: id, Symbol: sym, Side: side, Price: price, Qty: qty})
-	return fills, true
+	return b.Add(Order{ID: id, Side: side, Price: price, Qty: qty})
 }
 
 // Level is one aggregated price level in a depth snapshot.
@@ -293,5 +300,6 @@ func (b *Book) Lookup(id OrderID) (Order, bool) {
 	if slot == 0 {
 		return Order{}, false
 	}
-	return b.store.at(slot).Order, true
+	o := b.store.at(slot)
+	return Order{ID: o.ID, Symbol: b.symbol, Side: o.Side, Price: o.Price, Qty: o.Qty}, true
 }

@@ -27,94 +27,148 @@ func TestBookStorageIsPointerFree(t *testing.T) {
 			t.Errorf("%s is a %s: the collector would scan it", path, ty.Kind())
 		}
 	}
-	for _, v := range []any{bookOrder{}, level{}, idEntry{}} {
+	for _, v := range []any{bookOrder{}, level{}, idCell{}} {
 		ty := reflect.TypeOf(v)
 		walk(ty.Name(), ty)
 	}
 	// And no padding creeps in: a plant's stores hold millions of these.
-	if got := reflect.TypeOf(idEntry{}).Size(); got != 12 {
-		t.Errorf("an index cell is %d bytes, want 12", got)
+	if got := reflect.TypeOf(idCell{}).Size(); got != 8 {
+		t.Errorf("an index cell is %d bytes, want 8", got)
 	}
-	if got := reflect.TypeOf(bookOrder{}).Size(); got != 48 {
-		t.Errorf("a slab slot is %d bytes, want 48", got)
+	if got := reflect.TypeOf(bookOrder{}).Size(); got != 40 {
+		t.Errorf("a slab slot is %d bytes, want 40", got)
 	}
 }
 
 // collidingID returns the j-th id whose home cell is `home` in a 16-cell
 // table — and, the hash taking the top bits, the same or an adjacent run in
-// every larger one — by inverting the multiplicative hash.
-func collidingID(home, j uint64) OrderID {
-	const phi = 0x9E3779B97F4A7C15
-	inv := uint64(phi) // Newton's iteration for the inverse of an odd number mod 2^64
-	for i := 0; i < 6; i++ {
+// every larger one — by inverting the multiplicative hash of the low half.
+// Its high half is zero.
+func collidingID(home, j uint32) OrderID {
+	const phi = 0x9E3779B9
+	inv := uint32(phi) // Newton's iteration for the inverse of an odd number mod 2^32
+	for i := 0; i < 5; i++ {
 		inv *= 2 - phi*inv
 	}
-	return OrderID(inv * (home<<60 | j))
+	return OrderID(inv * (home<<28 | j))
 }
 
 func TestCollidingIDsShareAHomeCell(t *testing.T) {
 	tab := newIDTable()
-	for j := uint64(1); j < 50; j++ {
-		if h := tab.home(collidingID(7, j)); h != 7 {
+	for j := uint32(1); j < 50; j++ {
+		if h := tab.home(uint32(collidingID(7, j))); h != 7 {
 			t.Fatalf("id %d homes at %d, want 7", j, h)
 		}
 	}
 }
 
-// checkTable compares the table with a map model: every live id found with
-// its slot, every absent id of the key space not found, the count right.
-func checkTable(t *testing.T, tab *idTable, want map[OrderID]int32, keys []OrderID) {
+// checkIndex checks the index against the slab: every occupied cell names a
+// live slot — never one on the free chain, so an id left the index before
+// its slot was released — whose id has the cell's low half; no slot is named
+// twice; every cell is reachable from its home; the count is right.
+func checkIndex(t *testing.T, s *Orders) {
 	t.Helper()
-	if tab.n != len(want) {
-		t.Fatalf("table holds %d ids, model %d", tab.n, len(want))
+	free := map[int32]bool{}
+	for slot := s.free; slot != 0; slot = s.at(slot).next {
+		free[slot] = true
 	}
-	for _, id := range keys {
-		if _, slot := tab.find(id); slot != want[id] {
-			t.Fatalf("find(%#x) = slot %d, model %d", id, slot, want[id])
+	t2 := &s.index
+	mask := len(t2.cells) - 1
+	named, n := map[int32]bool{}, 0
+	for pos, c := range t2.cells {
+		if c.slot == 0 {
+			continue
 		}
+		n++
+		switch {
+		case c.slot < 0 || c.slot > s.used:
+			t.Fatalf("cell %d names slot %d, outside the slab (1..%d)", pos, c.slot, s.used)
+		case free[c.slot]:
+			t.Fatalf("cell %d names slot %d, which is on the free chain", pos, c.slot)
+		case named[c.slot]:
+			t.Fatalf("slot %d is named by two cells", c.slot)
+		case uint32(s.at(c.slot).ID) != c.lo:
+			t.Fatalf("cell %d holds low half %#x, its slot's id is %#x", pos, c.lo, s.at(c.slot).ID)
+		}
+		named[c.slot] = true
+		for p := t2.home(c.lo); p != pos; p = (p + 1) & mask {
+			if t2.cells[p].slot == 0 {
+				t.Fatalf("cell %d (low half %#x) is cut off from its home %d by empty cell %d", pos, c.lo, t2.home(c.lo), p)
+			}
+		}
+	}
+	if n != t2.n {
+		t.Fatalf("index counts %d ids, holds %d", t2.n, n)
+	}
+	if int(s.used)-len(free) != n {
+		t.Fatalf("slab has %d live slots, index %d ids", int(s.used)-len(free), n)
 	}
 }
 
-// tableKeys is a key space small enough that operations hit live ids often:
-// half of it collides on one home cell, so removals shift long runs, some of
-// them across the wrap-around (home 15 is the last cell of the smallest table).
+// checkTable compares the store's index with a map model: every id of the
+// key space found with its model slot (0 when absent), the count right.
+func checkTable(t *testing.T, s *Orders, want map[OrderID]int32, keys []OrderID) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("table holds %d ids, model %d", s.Len(), len(want))
+	}
+	for _, id := range keys {
+		if _, slot := s.find(id); slot != want[id] {
+			t.Fatalf("find(%#x) = slot %d, model %d", id, slot, want[id])
+		}
+	}
+	checkIndex(t, s)
+}
+
+// tableKeys is a key space small enough that operations hit live ids often.
+// Half of it collides on one home cell, so removals shift long runs, some of
+// them across the wrap-around (home 15 is the last cell of the smallest
+// table). A third of it shares its low half with another key, so only the
+// slab's full id tells them apart.
 func tableKeys() []OrderID {
 	var keys []OrderID
-	for j := uint64(1); j <= 64; j++ {
+	for j := uint32(1); j <= 64; j++ {
 		keys = append(keys, OrderID(j), collidingID(15, j))
+	}
+	for j := uint32(1); j <= 32; j++ {
+		keys = append(keys, OrderID(j)|7<<32, collidingID(15, j)|1<<40)
 	}
 	return keys
 }
 
 // driveTable interprets data as insert / remove / find operations, two bytes
-// each, against a table and its map model.
+// each, against an Orders store's slab and index and a map model. An insert
+// takes a slab slot and writes the id into it, as Book.Add does; a remove
+// forgets the slot, as a cancel does.
 func driveTable(t *testing.T, data []byte) {
 	keys := tableKeys()
-	tab := newIDTable()
+	s := NewOrders()
 	want := map[OrderID]int32{}
 	for i := 0; i+1 < len(data); i += 2 {
 		id := keys[int(data[i+1])%len(keys)]
-		pos, slot := tab.find(id)
+		pos, slot := s.find(id)
 		if slot != want[id] {
 			t.Fatalf("op %d: find(%#x) = slot %d, model %d", i/2, id, slot, want[id])
 		}
 		switch data[i] % 3 {
 		case 0:
 			if slot == 0 {
-				tab.insert(pos, id, int32(i/2+1))
-				want[id] = int32(i/2 + 1)
+				slot = s.alloc()
+				s.at(slot).ID = id
+				s.index.insert(pos, id, slot)
+				want[id] = slot
 			}
 		case 1:
 			if slot != 0 {
-				tab.remove(pos)
+				s.forget(pos, slot)
 				delete(want, id)
 			}
 		}
 		if data[i]%16 == 15 {
-			checkTable(t, &tab, want, keys)
+			checkTable(t, s, want, keys)
 		}
 	}
-	checkTable(t, &tab, want, keys)
+	checkTable(t, s, want, keys)
 }
 
 func FuzzOrdersTable(f *testing.F) {
@@ -143,6 +197,102 @@ func TestOrdersTableRandomOps(t *testing.T) {
 			}
 		}
 		driveTable(t, data)
+	}
+}
+
+// A store that mostly cancels, executes and modifies, with every low half
+// shared by three live ids, grows well past the slab's segment cap and
+// through several index doublings without losing or confusing an order.
+// Nothing crosses (bids below 1000, asks above), so the model is a map.
+func TestOrdersChurnPastCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	s := NewOrders()
+	books := []*Book{s.NewBook(1), s.NewBook(2), s.NewBook(3)}
+	type live struct {
+		book int
+		o    Order
+	}
+	model := map[OrderID]live{}
+	var ids []OrderID // live ids, in no particular order
+	drop := func(i int) {
+		delete(model, ids[i])
+		ids[i] = ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
+	}
+	price := func(side Side) Price {
+		if side == Buy {
+			return 900 + Price(rng.Intn(100))
+		}
+		return 1001 + Price(rng.Intn(100))
+	}
+	next, cells := 0, len(s.index.cells)
+	for op := 0; op < 40000; op++ {
+		r := rng.Intn(10)
+		if r < 4 || len(ids) == 0 {
+			next++
+			id := OrderID(next/3+1) | OrderID(next%3)<<32
+			bi := rng.Intn(len(books))
+			o := Order{ID: id, Symbol: books[bi].Symbol(), Side: Side(rng.Intn(2)), Qty: 1 + Qty(rng.Intn(100))}
+			o.Price = price(o.Side)
+			if fills := books[bi].Add(o); len(fills) != 0 {
+				t.Fatalf("op %d: a non-crossing add filled %+v", op, fills)
+			}
+			model[id] = live{bi, o}
+			ids = append(ids, id)
+			continue
+		}
+		i := rng.Intn(len(ids))
+		id := ids[i]
+		l := model[id]
+		switch {
+		case r < 6:
+			if !books[l.book].Cancel(id) {
+				t.Fatalf("op %d: cancel of live %#x failed", op, id)
+			}
+			drop(i)
+		case r < 8:
+			by := 1 + Qty(rng.Intn(int(2*l.o.Qty)))
+			if b := s.Reduce(id, by); b != books[l.book] {
+				t.Fatalf("op %d: Reduce(%#x) returned the wrong book", op, id)
+			}
+			if l.o.Qty <= by {
+				drop(i)
+			} else {
+				l.o.Qty -= by
+				model[id] = l
+			}
+		default:
+			l.o.Price, l.o.Qty = price(l.o.Side), Qty(rng.Intn(100))
+			if fills, ok := books[l.book].Modify(id, l.o.Price, l.o.Qty); !ok || len(fills) != 0 {
+				t.Fatalf("op %d: Modify(%#x) = %+v %v", op, id, fills, ok)
+			}
+			if l.o.Qty == 0 {
+				drop(i)
+			} else {
+				model[id] = l
+			}
+		}
+		if s.Reduce(OrderID(uint32(id))|3<<32, 1) != nil { // same low half, never added
+			t.Fatalf("op %d: Reduce of an id never added found a book", op)
+		}
+		if op%4000 == 0 {
+			checkIndex(t, s)
+		}
+	}
+	checkIndex(t, s)
+	if s.Len() != len(model) {
+		t.Fatalf("store holds %d orders, model %d", s.Len(), len(model))
+	}
+	for id, l := range model {
+		if got, ok := books[l.book].Lookup(id); !ok || got != l.o || s.BookOf(id) != books[l.book] {
+			t.Fatalf("Lookup(%#x) = %+v %v, model %+v in book %d", id, got, ok, l.o, l.book)
+		}
+	}
+	if segs, want := len(s.segs), capBits-segBits+1+3; segs < want {
+		t.Fatalf("slab has %d segments, want at least %d: the run did not pass three capped segments", segs, want)
+	}
+	if len(s.index.cells) < cells<<3 {
+		t.Fatalf("index has %d cells, want at least %d: the run did not double it three times", len(s.index.cells), cells<<3)
 	}
 }
 
@@ -283,7 +433,7 @@ func diffRun(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	const nBooks = 3
 	var ids []OrderID
-	for j := uint64(1); j <= 120; j++ {
+	for j := uint32(1); j <= 120; j++ {
 		ids = append(ids, OrderID(j), collidingID(3, j))
 	}
 	store, ref := NewOrders(), &refStore{}
@@ -385,6 +535,7 @@ func diffRun(t *testing.T, seed int64) {
 				t.Fatalf("step %d %s: BookOf(%#x) names the wrong book", step, desc, id)
 			}
 		}
+		checkIndex(t, store)
 	}
 	if store.used < 100 {
 		t.Fatalf("only %d slab slots were ever in use: the run did not grow the store", store.used)
@@ -392,31 +543,42 @@ func diffRun(t *testing.T, seed int64) {
 }
 
 // Growing the slab adds a segment and moves nothing: a resting order keeps
-// its address while the store grows past three segments (16 + 32 + 64 slots).
+// its address while the store grows through the doubling segments (16 to 512
+// slots) and three capped ones past them.
 func TestSlabGrowthKeepsOrdersInPlace(t *testing.T) {
 	b := NewBook(1)
 	b.Add(Order{ID: 1, Side: Buy, Price: 100, Qty: 10})
 	_, slot := b.resting(1)
 	p := b.store.at(slot)
-	for id := OrderID(2); id <= 300; id++ {
+	const n = 16*(1<<(capBits-segBits+1)-1) + 3<<capBits + 1
+	for id := OrderID(2); id <= n; id++ {
 		b.Add(Order{ID: id, Side: Buy, Price: 100 - Price(id%7), Qty: 1})
 	}
-	if n := len(b.store.segs); n <= 3 {
-		t.Fatalf("store has %d segments after 300 orders, want more than 3", n)
+	segs := b.store.segs
+	if want := capBits - segBits + 1 + 4; len(segs) != want {
+		t.Fatalf("store has %d segments after %d orders, want %d", len(segs), n, want)
+	}
+	for k, seg := range segs {
+		if want := 16 << min(k, capBits-segBits); len(seg) != want {
+			t.Errorf("segment %d holds %d slots, want %d", k, len(seg), want)
+		}
 	}
 	if _, now := b.resting(1); now != slot || b.store.at(slot) != p {
 		t.Fatal("growing the slab moved a resting order")
 	}
 	if p.ID != 1 || p.Qty != 10 {
-		t.Fatalf("the resting order reads %+v after growth", p.Order)
+		t.Fatalf("the resting order reads %+v after growth", *p)
 	}
-	// And no two slots map to one cell.
+	// And every slot maps to a cell of its own and keeps its order.
 	seen := map[*bookOrder]int32{}
 	for s := int32(1); s <= b.store.used; s++ {
 		if prev, dup := seen[b.store.at(s)]; dup {
 			t.Fatalf("slots %d and %d map to one cell", prev, s)
 		}
 		seen[b.store.at(s)] = s
+		if o, _ := b.Lookup(OrderID(s)); o.ID != OrderID(s) {
+			t.Fatalf("order %d reads %+v", s, o)
+		}
 	}
 }
 
