@@ -200,29 +200,32 @@ func (r AttributionResult) WriteChrome(w io.Writer) error {
 	return trace.WriteChrome(w, all)
 }
 
+// attributionCols gives each accepted message's mean time per cause, then
+// its mean total; a design that accepted nothing prints "-" for each.
+var attributionCols = func() []column[DesignAttribution] {
+	mean := func(d DesignAttribution, total sim.Duration) any {
+		if d.Accepted == 0 {
+			return "-"
+		}
+		return total / sim.Duration(d.Accepted)
+	}
+	cols := []column[DesignAttribution]{
+		{"design", func(d DesignAttribution) any { return d.Design }},
+		{"accepted", func(d DesignAttribution) any { return d.Accepted }},
+	}
+	for c := trace.Cause(0); c < trace.NumCauses; c++ {
+		cols = append(cols, column[DesignAttribution]{c.String(), func(d DesignAttribution) any { return mean(d, d.ByCause[c]) }})
+	}
+	return append(cols, column[DesignAttribution]{"mean total", func(d DesignAttribution) any { return mean(d, d.Total) }})
+}()
+
 // String renders the per-design attribution table: mean time per accepted
 // message by cause, the cause shares, terminal accounting, and the exact-
 // reconciliation verdict, followed by each design's registry dump.
 func (r AttributionResult) String() string {
 	var b strings.Builder
 	b.WriteString("E20: where do the microseconds go (flight-recorder attribution)\n")
-	var rows [][]string
-	for _, d := range r.Designs {
-		row := []string{d.Design, fmt.Sprint(d.Accepted)}
-		if d.Accepted == 0 {
-			row = append(row, "-", "-", "-", "-", "-", "-")
-		} else {
-			n := sim.Duration(d.Accepted)
-			for c := 0; c < trace.NumCauses; c++ {
-				row = append(row, (d.ByCause[c] / n).String())
-			}
-			row = append(row, (d.Total / n).String())
-		}
-		rows = append(rows, row)
-	}
-	b.WriteString(metrics.Table(
-		[]string{"design", "accepted", "software", "queueing", "serialization", "propagation", "switching", "mean total"},
-		rows))
+	b.WriteString(render(r.Designs, attributionCols))
 	for _, d := range r.Designs {
 		fmt.Fprintf(&b, "%s: %d traces (%d finished); ends:", d.Design, d.Created, d.Finished)
 		for e := 1; e < trace.NumEnds; e++ {

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"tradenet/internal/device"
-	"tradenet/internal/metrics"
-	"tradenet/internal/netsim"
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
-	"tradenet/internal/units"
 	"tradenet/internal/workload"
 )
 
@@ -41,24 +38,10 @@ func RunCorrelatedMerge(fanIn, millis int, seed int64) CorrelatedMergeResult {
 
 	run := func(correlated bool) (sim.Duration, uint64) {
 		sched := sim.NewScheduler(seed)
-		sw := device.NewL1Switch(sched, "l1s", fanIn+1, device.DefaultL1SConfig())
-		lat := metrics.NewHistogram()
-		netsim.Connect(sw.Port(fanIn), netsim.NewPort(sched, latencySink(sched, lat), "rx"), units.Rate10G, 0)
-
+		r := newMergeRig(sched, device.NewL1Switch(sched, "l1s", fanIn+1, device.DefaultL1SConfig()), fanIn)
 		end := sim.Time(sim.Duration(millis) * sim.Millisecond)
-		txs := make([]*netsim.Port, fanIn)
-		for i := 0; i < fanIn; i++ {
-			txs[i] = netsim.NewPort(sched, nil, fmt.Sprintf("tx%d", i))
-			txs[i].SetQueueCapacity(1 << 26)
-			netsim.Connect(txs[i], sw.Port(i), units.Rate10G, 0)
-			sw.Circuit(i, fanIn)
-		}
-		payload := make([]byte, 558)
-		send := func(feed int) {
-			src := pkt.UDPAddr{MAC: pkt.HostMAC(uint32(feed + 1)), IP: pkt.HostIP(uint32(feed + 1)), Port: 1}
-			dst := pkt.UDPAddr{MAC: pkt.HostMAC(99), IP: pkt.HostIP(99), Port: 2}
-			txs[feed].Send(&netsim.Frame{Data: pkt.AppendUDPFrame(nil, src, dst, 0, payload), Origin: sched.Now()})
-		}
+		dst := pkt.UDPAddr{MAC: pkt.HostMAC(99), IP: pkt.HostIP(99), Port: 2}
+		send := func(feed int) { r.send(feed, dst) }
 		if correlated {
 			rates := make([]float64, fanIn)
 			for i := range rates {
@@ -68,7 +51,6 @@ func RunCorrelatedMerge(fanIn, millis int, seed int64) CorrelatedMergeResult {
 			cf.Generate(sched, 0, end, send)
 		} else {
 			for i := 0; i < fanIn; i++ {
-				i := i
 				m := workload.NewMMPP(
 					workload.MMPPState{Rate: quietRate, MeanDwell: quietDwell},
 					workload.MMPPState{Rate: quietRate * factor, MeanDwell: burstDwell},
@@ -77,7 +59,7 @@ func RunCorrelatedMerge(fanIn, millis int, seed int64) CorrelatedMergeResult {
 			}
 		}
 		sched.Run()
-		return sim.Duration(lat.P99()), sw.Port(fanIn).Drops
+		return sim.Duration(r.lat.P99()), r.out.Drops
 	}
 
 	res.IndependentP99, res.IndependentDrops = run(false)

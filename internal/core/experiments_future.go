@@ -6,13 +6,10 @@ import (
 
 	"tradenet/internal/device"
 	"tradenet/internal/firm"
-	"tradenet/internal/metrics"
-	"tradenet/internal/netsim"
 	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 	"tradenet/internal/topo"
 	"tradenet/internal/units"
-	"tradenet/internal/workload"
 )
 
 // The experiments in this file cover the paper's §5 research agenda — the
@@ -31,27 +28,18 @@ type FilteredMergeRow struct {
 	FilteredP99       sim.Duration
 }
 
-// FilteredMergeResult compares plain L1S merging with FPGA-filtered
-// merging.
-type FilteredMergeResult struct {
-	Rows []FilteredMergeRow
-}
-
 // RunFilteredMerge merges fanIn bursty single-group feeds onto one 10G
 // output, where the consumer wants only one group. Plain merging carries
 // everything and overruns the line; filtering discards unwanted groups in
 // the switch, keeping the merge safe (§5 Hardware).
-func RunFilteredMerge(fanIns []int, millis int, seed int64) FilteredMergeResult {
-	var out FilteredMergeResult
+func RunFilteredMerge(fanIns []int, millis int, seed int64) Sweep[FilteredMergeRow] {
+	out := Sweep[FilteredMergeRow]{head: "Filtered merge ablation (§5 Hardware): FPGA filtering makes merges safe\n", cols: filteredMergeCols}
+	end := sim.Time(sim.Duration(millis) * sim.Millisecond)
 	for _, k := range fanIns {
 		row := FilteredMergeRow{FanIn: k}
 		for _, filtered := range []bool{false, true} {
 			sched := sim.NewScheduler(seed)
-			cfg := device.DefaultFilteringL1Config()
-			sw := device.NewFilteringL1Switch(sched, "fl1s", k+1, cfg)
-			lat := metrics.NewHistogram()
-			netsim.Connect(sw.Port(k), netsim.NewPort(sched, latencySink(sched, lat), "rx"), units.Rate10G, 0)
-
+			sw := device.NewFilteringL1Switch(sched, "fl1s", k+1, device.DefaultFilteringL1Config())
 			groups := make([]pkt.IP4, k)
 			for i := range groups {
 				groups[i] = pkt.MulticastGroup(1, uint16(i))
@@ -59,33 +47,16 @@ func RunFilteredMerge(fanIns []int, millis int, seed int64) FilteredMergeResult 
 			if filtered {
 				sw.Subscribe(k, groups[0])
 			}
-			end := sim.Time(sim.Duration(millis) * sim.Millisecond)
-			for i := 0; i < k; i++ {
-				tx := netsim.NewPort(sched, nil, fmt.Sprintf("tx%d", i))
-				tx.SetQueueCapacity(1 << 26)
-				netsim.Connect(tx, sw.Port(i), units.Rate10G, 0)
-				sw.Circuit(i, k)
-				proc := workload.NewMMPP(
-					workload.MMPPState{Rate: 400_000, MeanDwell: 2 * sim.Millisecond},
-					workload.MMPPState{Rate: 3_200_000, MeanDwell: 120 * sim.Microsecond},
-				)
-				g := groups[i]
-				src := pkt.UDPAddr{MAC: pkt.HostMAC(uint32(i + 1)), IP: pkt.HostIP(uint32(i + 1)), Port: 1}
-				dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(g), IP: g, Port: 2}
-				payload := make([]byte, 558)
-				txp := tx
-				workload.Generate(sched, proc, 0, end, func() {
-					txp.Send(&netsim.Frame{Data: pkt.AppendUDPFrame(nil, src, dst, 0, payload), Origin: sched.Now()})
-				})
+			r := newMergeRig(sched, sw, k)
+			for i, g := range groups {
+				r.bursty(i, pkt.UDPAddr{MAC: pkt.MulticastMAC(g), IP: g, Port: 2}, end)
 			}
 			sched.Run()
 			if filtered {
-				row.FilteredDelivered = sw.Port(k).TxFrames
-				row.FilteredDropped = sw.Port(k).Drops
-				row.FilteredP99 = sim.Duration(lat.P99())
+				row.FilteredDelivered, row.FilteredDropped = r.out.TxFrames, r.out.Drops
+				row.FilteredP99 = sim.Duration(r.lat.P99())
 			} else {
-				row.RawDelivered = sw.Port(k).TxFrames
-				row.RawDropped = sw.Port(k).Drops
+				row.RawDelivered, row.RawDropped = r.out.TxFrames, r.out.Drops
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -93,21 +64,11 @@ func RunFilteredMerge(fanIns []int, millis int, seed int64) FilteredMergeResult 
 	return out
 }
 
-// String renders the comparison.
-func (r FilteredMergeResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rawLoss := float64(row.RawDropped) / float64(row.RawDropped+row.RawDelivered) * 100
-		filtLoss := float64(row.FilteredDropped) / float64(row.FilteredDropped+row.FilteredDelivered) * 100
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.FanIn),
-			fmt.Sprintf("%.1f%%", rawLoss),
-			fmt.Sprintf("%.1f%%", filtLoss),
-			row.FilteredP99.String(),
-		})
-	}
-	return "Filtered merge ablation (§5 Hardware): FPGA filtering makes merges safe\n" +
-		metrics.Table([]string{"fan-in", "raw merge loss", "filtered loss", "filtered p99"}, rows)
+var filteredMergeCols = []column[FilteredMergeRow]{
+	{"fan-in", func(r FilteredMergeRow) any { return r.FanIn }},
+	{"raw merge loss", func(r FilteredMergeRow) any { return lossPct(r.RawDropped, r.RawDelivered) }},
+	{"filtered loss", func(r FilteredMergeRow) any { return lossPct(r.FilteredDropped, r.FilteredDelivered) }},
+	{"filtered p99", func(r FilteredMergeRow) any { return r.FilteredP99 }},
 }
 
 // PlacementResult is the §4.1/§5 placement-optimization ablation.
@@ -250,12 +211,6 @@ func (r GroupMappingResult) String() string {
 `, r.Partitions, r.GroupBudget, r.NaiveUnwanted*100, r.OptUnwanted*100)
 }
 
-// TimestampPrecisionResult is the §2 timestamping study: how sync precision
-// drives event-ordering fidelity.
-type TimestampPrecisionResult struct {
-	Rows []TimestampPrecisionRow
-}
-
 // TimestampPrecisionRow is one sync-precision level.
 type TimestampPrecisionRow struct {
 	Precision  sim.Duration
@@ -268,9 +223,9 @@ type TimestampPrecisionRow struct {
 // like back-to-back feed messages at 10G (§2: "precise timestamps are
 // necessary for understanding the ordering of market data events"; some
 // firms want <100 ps).
-func RunTimestampPrecision(pairs int, seed int64) TimestampPrecisionResult {
+func RunTimestampPrecision(pairs int, seed int64) Sweep[TimestampPrecisionRow] {
 	gap := units.SerializationDelay(100, units.Rate10G) // ~80 ns between events
-	var out TimestampPrecisionResult
+	out := Sweep[TimestampPrecisionRow]{head: "Timestamp sync precision vs event-ordering errors (§2; events ~80ns apart)\n", cols: timestampCols}
 	for _, prec := range []sim.Duration{sim.Microsecond, 100 * sim.Nanosecond, 10 * sim.Nanosecond, 100 * sim.Picosecond} {
 		rng := rand.New(rand.NewSource(seed))
 		inv := 0
@@ -300,23 +255,11 @@ type clockShim struct{ off sim.Duration }
 
 func (c *clockShim) Read(t sim.Time) sim.Time { return t.Add(c.off) }
 
-// String renders the precision sweep.
-func (r TimestampPrecisionResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Precision.String(),
-			fmt.Sprintf("%.2f%%", float64(row.Inversions)/float64(row.Pairs)*100),
-		})
-	}
-	return "Timestamp sync precision vs event-ordering errors (§2; events ~80ns apart)\n" +
-		metrics.Table([]string{"sync precision", "misordered pairs"}, rows)
-}
-
-// FilterPlacementResult sweeps consumer counts for the §3 filtering-
-// placement decision.
-type FilterPlacementResult struct {
-	Rows []FilterPlacementRow
+var timestampCols = []column[TimestampPrecisionRow]{
+	{"sync precision", func(r TimestampPrecisionRow) any { return r.Precision }},
+	{"misordered pairs", func(r TimestampPrecisionRow) any {
+		return fmt.Sprintf("%.2f%%", float64(r.Inversions)/float64(r.Pairs)*100)
+	}},
 }
 
 // FilterPlacementRow is one consumer count.
@@ -336,9 +279,10 @@ func filterPlacementInstance(consumers int) firm.FilterPlacement {
 	}
 }
 
-// RunFilterPlacement sweeps the §3 middlebox-vs-in-process arithmetic.
-func RunFilterPlacement() FilterPlacementResult {
-	var out FilterPlacementResult
+// RunFilterPlacement sweeps consumer counts for the §3 filtering-placement
+// decision: the middlebox-vs-in-process arithmetic.
+func RunFilterPlacement() Sweep[FilterPlacementRow] {
+	out := Sweep[FilterPlacementRow]{head: "Filtering placement (§3): cores used, 1M msg/s feed, 10% wanted\n", cols: filterPlacementCols}
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
 		fp := filterPlacementInstance(n)
 		out.Rows = append(out.Rows, FilterPlacementRow{
@@ -350,21 +294,14 @@ func RunFilterPlacement() FilterPlacementResult {
 	return out
 }
 
-// String renders the sweep.
-func (r FilterPlacementResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		winner := "in-process"
-		if row.MiddleboxCores < row.InProcessCores {
-			winner = "middlebox"
+var filterPlacementCols = []column[FilterPlacementRow]{
+	{"consumers", func(r FilterPlacementRow) any { return r.Consumers }},
+	{"in-process cores", func(r FilterPlacementRow) any { return fmt.Sprintf("%.2f", r.InProcessCores) }},
+	{"middlebox cores", func(r FilterPlacementRow) any { return fmt.Sprintf("%.2f", r.MiddleboxCores) }},
+	{"winner", func(r FilterPlacementRow) any {
+		if r.MiddleboxCores < r.InProcessCores {
+			return "middlebox"
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Consumers),
-			fmt.Sprintf("%.2f", row.InProcessCores),
-			fmt.Sprintf("%.2f", row.MiddleboxCores),
-			winner,
-		})
-	}
-	return "Filtering placement (§3): cores used, 1M msg/s feed, 10% wanted\n" +
-		metrics.Table([]string{"consumers", "in-process cores", "middlebox cores", "winner"}, rows)
+		return "in-process"
+	}},
 }

@@ -9,23 +9,11 @@ import (
 	"tradenet/internal/firm"
 	"tradenet/internal/market"
 	"tradenet/internal/mcast"
-	"tradenet/internal/metrics"
 	"tradenet/internal/netsim"
 	"tradenet/internal/orderentry"
 	"tradenet/internal/sim"
 	"tradenet/internal/units"
 )
-
-// StaleQuoteResult is the paper's central claim, quantified: "the most
-// important requirement is to be fast — the likelihood that an order will
-// be profitable rapidly decays as the market data it was based on becomes
-// stale ... exchanges will continue matching with an old order's price
-// until it is updated, making trades that are no longer desired" (§1–§2).
-// A market maker repricing with latency L races aggressors reacting to the
-// same move; every race it loses is a fill at a price it no longer wants.
-type StaleQuoteResult struct {
-	Rows []StaleQuoteRow
-}
 
 // StaleQuoteRow is one quoter-latency level.
 type StaleQuoteRow struct {
@@ -35,12 +23,22 @@ type StaleQuoteRow struct {
 	Reprices        uint64
 }
 
-// RunStaleQuotes sweeps the quoter's decision latency against a fixed
+// RunStaleQuotes is the paper's central claim, quantified: "the most
+// important requirement is to be fast — the likelihood that an order will
+// be profitable rapidly decays as the market data it was based on becomes
+// stale ... exchanges will continue matching with an old order's price
+// until it is updated, making trades that are no longer desired" (§1–§2).
+// A market maker repricing with latency L races aggressors reacting to the
+// same move; every race it loses is a fill at a price it no longer wants.
+//
+// It sweeps the quoter's decision latency against a fixed
 // aggressor: the market mid jumps, and aggressorDelay later a taker lifts
 // the quoter's (possibly stale) ask. Fast quoters win the race and reprice
 // away; slow quoters get picked off.
-func RunStaleQuotes(latencies []sim.Duration, moves int, aggressorDelay sim.Duration, seed int64) StaleQuoteResult {
-	var out StaleQuoteResult
+func RunStaleQuotes(latencies []sim.Duration, moves int, aggressorDelay sim.Duration, seed int64) Sweep[StaleQuoteRow] {
+	out := Sweep[StaleQuoteRow]{head: "Cost of latency (§1/§2): slow reprices get picked off\n", cols: staleQuoteCols,
+		tail: "a quoter that reprices faster than the aggressor reacts escapes; every\n" +
+			"race lost is a fill at a price the market has already left behind.\n"}
 	for _, lat := range latencies {
 		row := StaleQuoteRow{DecisionLatency: lat, Moves: moves}
 		row.StaleFills, row.Reprices = runStaleRace(lat, moves, aggressorDelay, seed)
@@ -120,19 +118,9 @@ func runStaleRace(decision sim.Duration, moves int, aggressorDelay sim.Duration,
 	return q.Fills, q.Reprices
 }
 
-// String renders the latency sweep.
-func (r StaleQuoteResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.DecisionLatency.String(),
-			fmt.Sprintf("%d", row.Moves),
-			fmt.Sprintf("%d", row.StaleFills),
-			fmt.Sprintf("%.0f%%", float64(row.StaleFills)/float64(row.Moves)*100),
-		})
-	}
-	return "Cost of latency (§1/§2): slow reprices get picked off\n" +
-		metrics.Table([]string{"decision latency", "mid moves", "picked off", "rate"}, rows) +
-		"a quoter that reprices faster than the aggressor reacts escapes; every\n" +
-		"race lost is a fill at a price the market has already left behind.\n"
+var staleQuoteCols = []column[StaleQuoteRow]{
+	{"decision latency", func(r StaleQuoteRow) any { return r.DecisionLatency }},
+	{"mid moves", func(r StaleQuoteRow) any { return r.Moves }},
+	{"picked off", func(r StaleQuoteRow) any { return r.StaleFills }},
+	{"rate", func(r StaleQuoteRow) any { return fmt.Sprintf("%.0f%%", float64(r.StaleFills)/float64(r.Moves)*100) }},
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"tradenet/internal/colo"
@@ -21,7 +20,7 @@ import (
 
 // DesignComparison is E5+E6(+E12): round trips through all three designs.
 type DesignComparison struct {
-	Rows []RoundTrip
+	Sweep[RoundTrip]
 	// Artifacts are the per-design run manifests (empty unless the
 	// scenario arms Telemetry).
 	Artifacts []*manifest.Artifact
@@ -30,7 +29,7 @@ type DesignComparison struct {
 // RunDesignComparison measures the common scenario through Designs 1, 3,
 // and 2 (equalized cloud), one plant alive at a time.
 func RunDesignComparison(sc Scenario, bursts int) DesignComparison {
-	var out DesignComparison
+	out := DesignComparison{Sweep: Sweep[RoundTrip]{head: "Designs 1/3/2: tick-to-trade round trip (§4)\n", cols: designCols}}
 	build := StandardDesigns(sc)
 	for _, n := range []int{1, 3, 2} {
 		p := build[n-1]()
@@ -39,31 +38,22 @@ func RunDesignComparison(sc Scenario, bursts int) DesignComparison {
 			out.Artifacts = append(out.Artifacts, p.Tel.Artifact("designs", fmt.Sprintf("design%d", n), "", sc, p.Sched))
 		}
 	}
+	if d1, d3 := out.Rows[0], out.Rows[1]; d3.SwitchLatency > 0 {
+		out.tail = fmt.Sprintf("switch-latency ratio D1/D3: %.0fx (paper: ~two orders of magnitude per hop: 500ns vs 5-6ns)\n",
+			float64(d1.SwitchLatency)/float64(d3.SwitchLatency))
+	}
 	return out
 }
 
-// String renders the design comparison.
-func (r DesignComparison) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, rt := range r.Rows {
-		rows = append(rows, []string{
-			rt.Design,
-			fmt.Sprintf("%d", rt.SwitchHops),
-			fmt.Sprintf("%d", rt.SoftwareHops),
-			rt.Mean().String(),
-			rt.NetworkTime().String(),
-			rt.SwitchLatency.String(),
-			fmt.Sprintf("%.0f%%", rt.NetworkShare()*100),
-			fmt.Sprintf("%d", rt.Orders),
-		})
-	}
-	s := "Designs 1/3/2: tick-to-trade round trip (§4)\n" +
-		metrics.Table([]string{"design", "sw-hops", "fn-hops", "mean RT", "net time", "switch lat", "net share", "orders"}, rows)
-	if len(r.Rows) >= 2 && r.Rows[1].SwitchLatency > 0 {
-		s += fmt.Sprintf("switch-latency ratio D1/D3: %.0fx (paper: ~two orders of magnitude per hop: 500ns vs 5-6ns)\n",
-			float64(r.Rows[0].SwitchLatency)/float64(r.Rows[1].SwitchLatency))
-	}
-	return s
+var designCols = []column[RoundTrip]{
+	{"design", func(r RoundTrip) any { return r.Design }},
+	{"sw-hops", func(r RoundTrip) any { return r.SwitchHops }},
+	{"fn-hops", func(r RoundTrip) any { return r.SoftwareHops }},
+	{"mean RT", func(r RoundTrip) any { return r.Mean() }},
+	{"net time", func(r RoundTrip) any { return r.NetworkTime() }},
+	{"switch lat", func(r RoundTrip) any { return r.SwitchLatency }},
+	{"net share", func(r RoundTrip) any { return fmt.Sprintf("%.0f%%", r.NetworkShare()*100) }},
+	{"orders", func(r RoundTrip) any { return r.Orders }},
 }
 
 // MrouteOverflowResult is E7: the latency/loss cliff when the multicast
@@ -152,15 +142,22 @@ func (r MrouteOverflowResult) String() string {
 `, r.Groups, r.Capacity, r.HWMean, lossHW*100, r.SWMean, lossSW*100)
 }
 
-// GenerationsResult is E8: switch trends across hardware generations.
-type GenerationsResult struct {
-	Measured []sim.Duration // per-hop latency measured through each gen
+// GenerationRow is one switch generation: its spec and the per-hop latency
+// measured through its model.
+type GenerationRow struct {
+	device.Generation
+	Measured sim.Duration
 }
 
-// RunGenerations measures one-hop forwarding latency through each
-// generation's switch model.
-func RunGenerations() GenerationsResult {
-	var out GenerationsResult
+// RunGenerations is E8, switch trends across hardware generations: it
+// measures one-hop forwarding latency through each generation's switch
+// model.
+func RunGenerations() Sweep[GenerationRow] {
+	out := Sweep[GenerationRow]{head: "Switch generations (§3 trends)\n", cols: generationCols,
+		tail: fmt.Sprintf("latency growth: +%.0f%% (paper: ~+20%%/decade)\n", (device.LatencyGrowth()-1)*100) +
+			fmt.Sprintf("mcast group growth: +%.0f%% (paper: ~+80%%) vs market data +500%%\n", (device.McastGroupGrowth()-1)*100) +
+			fmt.Sprintf("bandwidth growth: %.0fx (roughly doubling per generation)\n", device.BandwidthGrowth()) +
+			"software hop reference: <1µs and falling (§3)\n"}
 	for _, gen := range device.Generations {
 		sched := sim.NewScheduler(1)
 		sw := device.NewCommoditySwitch(sched, "sw", 2, gen.Config())
@@ -176,31 +173,17 @@ func RunGenerations() GenerationsResult {
 		ser := units.SerializationDelay(pkt.WireSize(len(frame))+netsim.FrameOverheadBytes, units.Rate10G)
 		sched.At(0, func() { tx.Send(&netsim.Frame{Data: frame}) })
 		sched.Run()
-		out.Measured = append(out.Measured, sim.Duration(at)-ser)
+		out.Rows = append(out.Rows, GenerationRow{gen, sim.Duration(at) - ser})
 	}
 	return out
 }
 
-// String renders the generation table with the paper's trend claims.
-func (r GenerationsResult) String() string {
-	rows := make([][]string, 0, len(device.Generations))
-	for i, g := range device.Generations {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", g.Year),
-			g.Latency.String(),
-			r.Measured[i].String(),
-			fmt.Sprintf("%d", g.McastGroups),
-			g.ASICBandwidth.String(),
-		})
-	}
-	var b strings.Builder
-	b.WriteString("Switch generations (§3 trends)\n")
-	b.WriteString(metrics.Table([]string{"year", "spec latency", "measured hop", "mcast groups", "ASIC bw"}, rows))
-	fmt.Fprintf(&b, "latency growth: +%.0f%% (paper: ~+20%%/decade)\n", (device.LatencyGrowth()-1)*100)
-	fmt.Fprintf(&b, "mcast group growth: +%.0f%% (paper: ~+80%%) vs market data +500%%\n", (device.McastGroupGrowth()-1)*100)
-	fmt.Fprintf(&b, "bandwidth growth: %.0fx (roughly doubling per generation)\n", device.BandwidthGrowth())
-	b.WriteString("software hop reference: <1µs and falling (§3)\n")
-	return b.String()
+var generationCols = []column[GenerationRow]{
+	{"year", func(r GenerationRow) any { return r.Year }},
+	{"spec latency", func(r GenerationRow) any { return r.Latency }},
+	{"measured hop", func(r GenerationRow) any { return r.Measured }},
+	{"mcast groups", func(r GenerationRow) any { return r.McastGroups }},
+	{"ASIC bw", func(r GenerationRow) any { return r.ASICBandwidth }},
 }
 
 // MergeRow is one fan-in level of E9.
@@ -213,89 +196,100 @@ type MergeRow struct {
 	P99Latency  sim.Duration
 }
 
-// MergeResult is E9: the L1S merge bottleneck under bursty feeds.
-type MergeResult struct {
-	Rows []MergeRow
-}
-
-// RunMergeBottleneck merges fanIn bursty feeds onto one 10G L1S output for
-// each fan-in level, measuring queueing and loss. Each source offers ~27%
-// of line rate on average with 8x bursts (the Fig 2(c) structure), so the
+// RunMergeBottleneck is E9, the L1S merge bottleneck under bursty feeds: it
+// merges fanIn bursty feeds onto one 10G L1S output for each fan-in level,
+// measuring queueing and loss. Each source offers ~27% of line rate on average with 8x bursts (the Fig 2(c) structure), so the
 // merged feed crosses saturation between fan-in 2 and 4 — "merged feeds can
 // easily exceed the available bandwidth, leading to latency from queuing or
 // packet loss" (§4.3).
-func RunMergeBottleneck(fanIns []int, millis int, seed int64) MergeResult {
-	var out MergeResult
+func RunMergeBottleneck(fanIns []int, millis int, seed int64) Sweep[MergeRow] {
+	out := Sweep[MergeRow]{head: "L1S merge bottleneck (§4.3): bursty feeds onto one 10G output\n", cols: mergeCols}
+	end := sim.Time(sim.Duration(millis) * sim.Millisecond)
+	dst := pkt.UDPAddr{MAC: pkt.HostMAC(99), IP: pkt.HostIP(99), Port: 2}
 	for _, k := range fanIns {
 		sched := sim.NewScheduler(seed)
 		cfg := device.DefaultL1SConfig()
 		cfg.MergeQueueBytes = 256 * 1024
-		sw := device.NewL1Switch(sched, "l1s", k+1, cfg)
-		lat := metrics.NewHistogram()
-		netsim.Connect(sw.Port(k), netsim.NewPort(sched, latencySink(sched, lat), "rx"), units.Rate10G, 0)
-
-		end := sim.Time(sim.Duration(millis) * sim.Millisecond)
-		var sent uint64
+		r := newMergeRig(sched, device.NewL1Switch(sched, "l1s", k+1, cfg), k)
 		for i := 0; i < k; i++ {
-			txp := netsim.NewPort(sched, nil, fmt.Sprintf("tx%d", i))
-			txp.SetQueueCapacity(1 << 26)
-			netsim.Connect(txp, sw.Port(i), units.Rate10G, 0)
-			sw.Circuit(i, k)
-			// ~27% load per source: 600-byte frames at a bursty ~560k/s.
-			proc := workload.NewMMPP(
-				workload.MMPPState{Rate: 400_000, MeanDwell: 2 * sim.Millisecond},
-				workload.MMPPState{Rate: 3_200_000, MeanDwell: 120 * sim.Microsecond},
-			)
-			src := pkt.UDPAddr{MAC: pkt.HostMAC(uint32(i + 1)), IP: pkt.HostIP(uint32(i + 1)), Port: 1}
-			dst := pkt.UDPAddr{MAC: pkt.HostMAC(99), IP: pkt.HostIP(99), Port: 2}
-			payload := make([]byte, 558)
-			workload.Generate(sched, proc, 0, end, func() {
-				sent++
-				f := &netsim.Frame{Data: pkt.AppendUDPFrame(nil, src, dst, 0, payload), Origin: sched.Now()}
-				txp.Send(f)
-			})
+			r.bursty(i, dst, end)
 		}
 		sched.Run()
-		mergePort := sw.Port(k)
-		row := MergeRow{
-			FanIn:     k,
-			Delivered: mergePort.TxFrames,
-			Dropped:   mergePort.Drops,
-		}
+		row := MergeRow{FanIn: k, Delivered: r.out.TxFrames, Dropped: r.out.Drops, P99Latency: sim.Duration(r.lat.P99())}
 		// Offered load: 600B frames (+overhead) × arrival rate vs 10G.
 		wire := float64(pkt.WireSize(600)+netsim.FrameOverheadBytes) * 8
-		row.OfferedLoad = float64(sent) / (float64(millis) / 1000) * wire / float64(units.Rate10G)
-		if mergePort.TxFrames > 0 {
-			row.MeanQueue = mergePort.QueueDelay / sim.Duration(mergePort.TxFrames)
+		row.OfferedLoad = float64(r.sent) / (float64(millis) / 1000) * wire / float64(units.Rate10G)
+		if r.out.TxFrames > 0 {
+			row.MeanQueue = r.out.QueueDelay / sim.Duration(r.out.TxFrames)
 		}
-		row.P99Latency = sim.Duration(lat.P99())
 		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
 
-// latencySink records each arriving frame's age (now − Origin) into h.
-func latencySink(sched *sim.Scheduler, h *metrics.Histogram) netsim.Handler {
-	return netsim.HandlerFunc(func(_ *netsim.Port, f *netsim.Frame) {
-		h.Observe(int64(sched.Now().Sub(f.Origin)))
-	})
+var mergeCols = []column[MergeRow]{
+	{"fan-in", func(r MergeRow) any { return r.FanIn }},
+	{"offered", func(r MergeRow) any { return fmt.Sprintf("%.2f", r.OfferedLoad) }},
+	{"mean queue", func(r MergeRow) any { return r.MeanQueue }},
+	{"p99 e2e", func(r MergeRow) any { return r.P99Latency }},
+	{"loss", func(r MergeRow) any { return lossPct(r.Dropped, r.Delivered) }},
 }
 
-// String renders the merge sweep.
-func (r MergeResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		loss := float64(row.Dropped) / float64(row.Delivered+row.Dropped) * 100
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.FanIn),
-			fmt.Sprintf("%.2f", row.OfferedLoad),
-			row.MeanQueue.String(),
-			row.P99Latency.String(),
-			fmt.Sprintf("%.1f%%", loss),
-		})
+// lossPct prints the share of a merge port's frames it dropped.
+func lossPct(dropped, delivered uint64) string {
+	return fmt.Sprintf("%.1f%%", float64(dropped)/float64(dropped+delivered)*100)
+}
+
+// merger is a switch that circuits ingress ports onto an egress: the L1S
+// and its FPGA-filtering variant.
+type merger interface {
+	Port(i int) *netsim.Port
+	Circuit(in int, outs ...int)
+}
+
+// mergeRig is k senders into one merge port: sw's ports 0..k-1 are fed by
+// 10G senders with deep queues and circuited onto port k, whose frames'
+// ages (now − Origin) land in lat.
+type mergeRig struct {
+	sched *sim.Scheduler
+	tx    []*netsim.Port
+	out   *netsim.Port // the merge port
+	lat   *metrics.Histogram
+	sent  uint64
+}
+
+func newMergeRig(sched *sim.Scheduler, sw merger, k int) *mergeRig {
+	r := &mergeRig{sched: sched, out: sw.Port(k), lat: metrics.NewHistogram()}
+	sink := netsim.HandlerFunc(func(_ *netsim.Port, f *netsim.Frame) { r.lat.Observe(int64(sched.Now().Sub(f.Origin))) })
+	netsim.Connect(r.out, netsim.NewPort(sched, sink, "rx"), units.Rate10G, 0)
+	for i := 0; i < k; i++ {
+		tx := netsim.NewPort(sched, nil, fmt.Sprintf("tx%d", i))
+		tx.SetQueueCapacity(1 << 26)
+		netsim.Connect(tx, sw.Port(i), units.Rate10G, 0)
+		sw.Circuit(i, k)
+		r.tx = append(r.tx, tx)
 	}
-	return "L1S merge bottleneck (§4.3): bursty feeds onto one 10G output\n" +
-		metrics.Table([]string{"fan-in", "offered", "mean queue", "p99 e2e", "loss"}, rows)
+	return r
+}
+
+// mergePayload is every merge sender's UDP payload: 600-byte frames.
+var mergePayload = make([]byte, 558)
+
+// send transmits one frame from sender i to dst.
+func (r *mergeRig) send(i int, dst pkt.UDPAddr) {
+	r.sent++
+	src := pkt.UDPAddr{MAC: pkt.HostMAC(uint32(i + 1)), IP: pkt.HostIP(uint32(i + 1)), Port: 1}
+	r.tx[i].Send(&netsim.Frame{Data: pkt.AppendUDPFrame(nil, src, dst, 0, mergePayload), Origin: r.sched.Now()})
+}
+
+// bursty drives sender i toward dst until end at ~27% of line rate on
+// average: a bursty ~560k frames/s with 8x bursts, the Fig 2(c) structure.
+func (r *mergeRig) bursty(i int, dst pkt.UDPAddr, end sim.Time) {
+	proc := workload.NewMMPP(
+		workload.MMPPState{Rate: 400_000, MeanDwell: 2 * sim.Millisecond},
+		workload.MMPPState{Rate: 3_200_000, MeanDwell: 120 * sim.Microsecond},
+	)
+	workload.Generate(r.sched, proc, 0, end, func() { r.send(i, dst) })
 }
 
 // OverheadRow is one feed's E10 numbers.
@@ -305,21 +299,12 @@ type OverheadRow struct {
 	CompactSave float64 // bytes saved by the §5 compact transport
 }
 
-// OverheadResult is E10: protocol header overhead.
-type OverheadResult struct {
-	Rows []OverheadRow
-	// HeaderCost40ns is the §5 claim: processing Ethernet+IP+TCP headers at
-	// 10G costs ~40 ns of serialization alone.
-	HeaderCostNs float64
-}
-
-// RunHeaderOverhead measures header share over generated mid-day traffic
-// and the compact-transport ablation's savings.
-func RunHeaderOverhead(frames int, seed int64) OverheadResult {
-	out := OverheadResult{
-		HeaderCostNs: units.SerializationDelay(
-			pkt.EthernetHeaderLen+pkt.IPv4HeaderLen+pkt.TCPHeaderLen, units.Rate10G).Nanoseconds(),
-	}
+// RunHeaderOverhead is E10, protocol header overhead: it measures header
+// share over generated mid-day traffic and the compact-transport ablation's
+// savings.
+func RunHeaderOverhead(frames int, seed int64) Sweep[OverheadRow] {
+	out := Sweep[OverheadRow]{cols: overheadCols,
+		head: fmt.Sprintf("Header overhead (§3, §5): paper cites 25–40%% headers; Eth+IP+TCP costs %.0f ns at 10G\n", headerCostNs())}
 	src := pkt.UDPAddr{MAC: pkt.HostMAC(1), IP: pkt.HostIP(1), Port: 30000}
 	grp := pkt.IP4{239, 1, 0, 1}
 	dst := pkt.UDPAddr{MAC: pkt.MulticastMAC(grp), IP: grp, Port: 30001}
@@ -344,24 +329,16 @@ func RunHeaderOverhead(frames int, seed int64) OverheadResult {
 	return out
 }
 
-// String renders the overhead table.
-func (r OverheadResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Feed,
-			fmt.Sprintf("%.0f%%", row.HeaderShare*100),
-			fmt.Sprintf("%.0f%%", row.CompactSave*100),
-		})
-	}
-	return fmt.Sprintf("Header overhead (§3, §5): paper cites 25–40%% headers; Eth+IP+TCP costs %.0f ns at 10G\n",
-		r.HeaderCostNs) +
-		metrics.Table([]string{"feed", "header share", "compact saves"}, rows)
+// headerCostNs is the §5 claim: processing Ethernet+IP+TCP headers at 10G
+// costs ~40 ns of serialization alone.
+func headerCostNs() float64 {
+	return units.SerializationDelay(pkt.EthernetHeaderLen+pkt.IPv4HeaderLen+pkt.TCPHeaderLen, units.Rate10G).Nanoseconds()
 }
 
-// PartitionScalingResult is E11: partition growth vs mroute capacity.
-type PartitionScalingResult struct {
-	Rows []PartitionScalingRow
+var overheadCols = []column[OverheadRow]{
+	{"feed", func(r OverheadRow) any { return r.Feed }},
+	{"header share", func(r OverheadRow) any { return fmt.Sprintf("%.0f%%", r.HeaderShare*100) }},
+	{"compact saves", func(r OverheadRow) any { return fmt.Sprintf("%.0f%%", r.CompactSave*100) }},
 }
 
 // PartitionScalingRow is one point in time.
@@ -372,11 +349,12 @@ type PartitionScalingRow struct {
 	Plans       []mcast.CapacityPlan // one per switch generation
 }
 
-// RunPartitionScaling tracks the §3 growth (600 → 1300 partitions per
-// representative strategy over 24 months) across feedFamilies concurrent
-// partitioned feeds, against each switch generation's table.
-func RunPartitionScaling(feedFamilies int) PartitionScalingResult {
-	var out PartitionScalingResult
+// RunPartitionScaling is E11, partition growth vs mroute capacity: it
+// tracks the §3 growth (600 → 1300 partitions per representative strategy
+// over 24 months) across feedFamilies concurrent partitioned feeds, against
+// each switch generation's table.
+func RunPartitionScaling(feedFamilies int) Sweep[PartitionScalingRow] {
+	out := Sweep[PartitionScalingRow]{head: "Partition growth vs mroute tables (§3: 600→1300 over 2 years)\n", cols: partitionCols}
 	for mo := 0; mo <= 24; mo += 6 {
 		per := mcast.PartitionGrowth(600, mo, 1300, 24)
 		row := PartitionScalingRow{Month: mo, PerStrategy: per, TotalGroups: per * feedFamilies}
@@ -388,27 +366,20 @@ func RunPartitionScaling(feedFamilies int) PartitionScalingResult {
 	return out
 }
 
-// String renders the scaling table.
-func (r PartitionScalingResult) String() string {
-	header := []string{"month", "parts/strat", "total groups"}
-	for _, gen := range device.Generations {
-		header = append(header, fmt.Sprintf("sw@%d overflow", gen.Year))
+// partitionCols ends in one column per switch generation: the groups its
+// mroute table overflows into software.
+var partitionCols = func() []column[PartitionScalingRow] {
+	cols := []column[PartitionScalingRow]{
+		{"month", func(r PartitionScalingRow) any { return r.Month }},
+		{"parts/strat", func(r PartitionScalingRow) any { return r.PerStrategy }},
+		{"total groups", func(r PartitionScalingRow) any { return r.TotalGroups }},
 	}
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		cells := []string{
-			fmt.Sprintf("%d", row.Month),
-			fmt.Sprintf("%d", row.PerStrategy),
-			fmt.Sprintf("%d", row.TotalGroups),
-		}
-		for _, p := range row.Plans {
-			cells = append(cells, fmt.Sprintf("%d", p.Software))
-		}
-		rows = append(rows, cells)
+	for i, gen := range device.Generations {
+		cols = append(cols, column[PartitionScalingRow]{fmt.Sprintf("sw@%d overflow", gen.Year),
+			func(r PartitionScalingRow) any { return r.Plans[i].Software }})
 	}
-	return "Partition growth vs mroute tables (§3: 600→1300 over 2 years)\n" +
-		metrics.Table(header, rows)
-}
+	return cols
+}()
 
 // BudgetResult is E13: real Go codec throughput vs the paper's per-event
 // budgets.
@@ -481,24 +452,17 @@ type WANRow struct {
 	ClearLossPct     float64
 }
 
-// WANResult is E14: microwave vs fiber between the NJ colos.
-type WANResult struct {
-	Rows                 []WANRow
-	FiberBW, MicrowaveBW units.Bandwidth
-}
-
-// RunWAN builds each inter-colo pair both ways and measures latency and
-// rain loss.
-func RunWAN(framesPerTest int, seed int64) WANResult {
+// RunWAN is E14, microwave vs fiber between the NJ colos: it builds each
+// inter-colo pair both ways and measures latency and rain loss.
+func RunWAN(framesPerTest int, seed int64) Sweep[WANRow] {
 	pairs := [][2]colo.Facility{
 		{colo.Mahwah, colo.Secaucus},
 		{colo.Carteret, colo.Secaucus},
 		{colo.Carteret, colo.Mahwah},
 	}
-	out := WANResult{
-		FiberBW:     colo.DefaultFiber().Bandwidth,
-		MicrowaveBW: colo.DefaultMicrowave().Bandwidth,
-	}
+	out := Sweep[WANRow]{cols: wanCols,
+		head: fmt.Sprintf("Inter-colo WAN (§2): microwave wins latency (%v vs %v bandwidth), loses in rain\n",
+			colo.DefaultMicrowave().Bandwidth, colo.DefaultFiber().Bandwidth)}
 	for _, p := range pairs {
 		sched := sim.NewScheduler(seed)
 		fb := colo.NewCircuit(sched, p[0], p[1], colo.DefaultFiber(), discard, discard)
@@ -535,22 +499,13 @@ func RunWAN(framesPerTest int, seed int64) WANResult {
 // discard terminates the unused direction of a circuit.
 var discard = netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) {})
 
-// String renders the WAN table.
-func (r WANResult) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Pair,
-			row.FiberLatency.String(),
-			row.MicrowaveLatency.String(),
-			row.Advantage.String(),
-			fmt.Sprintf("%.1f%%", row.RainLossPct),
-			fmt.Sprintf("%.1f%%", row.ClearLossPct),
-		})
-	}
-	return fmt.Sprintf("Inter-colo WAN (§2): microwave wins latency (%v vs %v bandwidth), loses in rain\n",
-		r.MicrowaveBW, r.FiberBW) +
-		metrics.Table([]string{"pair", "fiber", "microwave", "advantage", "rain loss", "clear loss"}, rows)
+var wanCols = []column[WANRow]{
+	{"pair", func(r WANRow) any { return r.Pair }},
+	{"fiber", func(r WANRow) any { return r.FiberLatency }},
+	{"microwave", func(r WANRow) any { return r.MicrowaveLatency }},
+	{"advantage", func(r WANRow) any { return r.Advantage }},
+	{"rain loss", func(r WANRow) any { return fmt.Sprintf("%.1f%%", r.RainLossPct) }},
+	{"clear loss", func(r WANRow) any { return fmt.Sprintf("%.1f%%", r.ClearLossPct) }},
 }
 
 // GenerationRTResult is E8b: the end-to-end consequence of the §3 latency

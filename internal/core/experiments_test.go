@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tradenet/internal/colo"
 	"tradenet/internal/sim"
 )
 
@@ -126,14 +128,14 @@ func TestRunMrouteOverflow(t *testing.T) {
 
 func TestRunGenerations(t *testing.T) {
 	r := RunGenerations()
-	if len(r.Measured) != 4 {
-		t.Fatalf("measured = %d", len(r.Measured))
+	if len(r.Rows) != 4 {
+		t.Fatalf("measured = %d", len(r.Rows))
 	}
 	// Measured hop latency equals the generation's spec latency.
-	for i, m := range r.Measured {
-		if m != sim.Duration(420+[4]int64{0, 30, 55, 80}[i])*sim.Nanosecond {
+	for i, row := range r.Rows {
+		if row.Measured != sim.Duration(420+[4]int64{0, 30, 55, 80}[i])*sim.Nanosecond {
 			// (420, 450, 475, 500 ns)
-			t.Fatalf("gen %d measured %v", i, m)
+			t.Fatalf("gen %d measured %v", i, row.Measured)
 		}
 	}
 	if !strings.Contains(r.String(), "2023") {
@@ -183,8 +185,11 @@ func TestRunHeaderOverhead(t *testing.T) {
 		}
 	}
 	// §5: header processing ≈ 40ns at 10G (54B of Eth+IP+TCP → 43.2 ns).
-	if r.HeaderCostNs < 38 || r.HeaderCostNs > 48 {
-		t.Fatalf("header cost = %.1f ns", r.HeaderCostNs)
+	if c := headerCostNs(); c < 38 || c > 48 {
+		t.Fatalf("header cost = %.1f ns", c)
+	}
+	if want := fmt.Sprintf("costs %.0f ns at 10G", headerCostNs()); !strings.Contains(r.String(), want) {
+		t.Fatalf("caption lacks %q", want)
 	}
 }
 
@@ -247,8 +252,12 @@ func TestRunWAN(t *testing.T) {
 			t.Errorf("%s: clear-weather loss = %.1f%%", row.Pair, row.ClearLossPct)
 		}
 	}
-	if r.MicrowaveBW >= r.FiberBW {
+	mw, fiber := colo.DefaultMicrowave().Bandwidth, colo.DefaultFiber().Bandwidth
+	if mw >= fiber {
 		t.Fatal("microwave has less bandwidth")
+	}
+	if want := fmt.Sprintf("(%v vs %v bandwidth)", mw, fiber); !strings.Contains(r.String(), want) {
+		t.Fatalf("caption lacks %q", want)
 	}
 }
 

@@ -12,11 +12,6 @@ import (
 	"tradenet/internal/workload"
 )
 
-// Table1Result is E1: frame-length statistics per feed (paper Table 1).
-type Table1Result struct {
-	Rows []Table1Row
-}
-
 // Table1Row is one feed's statistics.
 type Table1Row struct {
 	Feed                  string
@@ -28,7 +23,7 @@ type Table1Row struct {
 // RunTable1 generates mid-day traffic for each exchange variant and
 // measures frame lengths (inclusive of Ethernet, IP, and UDP headers, as in
 // the paper).
-func RunTable1(frames int, seed int64) Table1Result {
+func RunTable1(frames int, seed int64) Sweep[Table1Row] {
 	rng := rand.New(rand.NewSource(seed))
 	src := pkt.UDPAddr{MAC: pkt.HostMAC(1), IP: pkt.HostIP(1), Port: 30000}
 	grp := pkt.IP4{239, 1, 0, 1}
@@ -39,7 +34,7 @@ func RunTable1(frames int, seed int64) Table1Result {
 		"Exchange B": {64, 113, 76, 1067},
 		"Exchange C": {81, 151, 101, 1442},
 	}
-	var out Table1Result
+	out := Sweep[Table1Row]{head: "Table 1: frame lengths, measured (paper)\n", cols: table1Cols}
 	for _, v := range []*feed.Variant{feed.ExchangeA, feed.ExchangeB, feed.ExchangeC} {
 		g := feed.NewFrameGen(v, src, dst)
 		h := metrics.NewHistogram()
@@ -57,20 +52,12 @@ func RunTable1(frames int, seed int64) Table1Result {
 	return out
 }
 
-// String renders the measured-vs-paper table.
-func (r Table1Result) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Feed,
-			fmt.Sprintf("%d (%d)", row.Min, row.PaperMin),
-			fmt.Sprintf("%d (%d)", row.Avg, row.PaperAvg),
-			fmt.Sprintf("%d (%d)", row.Median, row.PaperMedian),
-			fmt.Sprintf("%d (%d)", row.Max, row.PaperMax),
-		})
-	}
-	return "Table 1: frame lengths, measured (paper)\n" +
-		metrics.Table([]string{"Feed", "min", "avg", "median", "max"}, rows)
+var table1Cols = []column[Table1Row]{
+	{"Feed", func(r Table1Row) any { return r.Feed }},
+	{"min", func(r Table1Row) any { return fmt.Sprintf("%d (%d)", r.Min, r.PaperMin) }},
+	{"avg", func(r Table1Row) any { return fmt.Sprintf("%d (%d)", r.Avg, r.PaperAvg) }},
+	{"median", func(r Table1Row) any { return fmt.Sprintf("%d (%d)", r.Median, r.PaperMedian) }},
+	{"max", func(r Table1Row) any { return fmt.Sprintf("%d (%d)", r.Max, r.PaperMax) }},
 }
 
 // Fig2aResult is E2: the multi-year daily event-count series.

@@ -94,32 +94,62 @@ type faultExperiment[S any] struct {
 	manifests        func(S) []faultCell // what each cell's run manifest carries
 }
 
-// column is one table column: its header and a cell's value in it, printed
+// column is one table column: its header and a row's value in it, printed
 // with fmt.Sprint.
-type column[C any] struct {
+type column[R any] struct {
 	header string
-	cell   func(C) any
+	cell   func(R) any
+}
+
+// render prints rows as a fixed-width table under cols' headers. Every
+// tabled experiment renders through it.
+func render[R any](rows []R, cols []column[R]) string {
+	headers := make([]string, len(cols))
+	for i, col := range cols {
+		headers[i] = col.header
+	}
+	cells := make([][]string, len(rows))
+	for i, row := range rows {
+		for _, col := range cols {
+			cells[i] = append(cells[i], fmt.Sprint(col.cell(row)))
+		}
+	}
+	return metrics.Table(headers, cells)
+}
+
+// Sweep is a single-run experiment's table as data: one row per level of
+// the factor it varies, printed as head, the table, then tail. cols is a
+// package-level table, so two equal sweeps stay reflect.DeepEqual.
+type Sweep[R any] struct {
+	Rows       []R
+	head, tail string
+	cols       []column[R]
+}
+
+// String renders the sweep.
+func (s Sweep[R]) String() string { return s.head + render(s.Rows, s.cols) + s.tail }
+
+// seeded is one cell of a fault experiment's table, tagged with its seed.
+type seeded[C any] struct {
+	seed int64
+	cell C
 }
 
 // table renders the cells of type C that cells picks out of each seed's run
 // under caption, one row per seed × cell, seed first.
 func table[S, C any](caption string, cells func(S) []C, cols []column[C]) func([]int64, []S) string {
-	headers := []string{"seed"}
+	all := []column[seeded[C]]{{"seed", func(r seeded[C]) any { return r.seed }}}
 	for _, col := range cols {
-		headers = append(headers, col.header)
+		all = append(all, column[seeded[C]]{col.header, func(r seeded[C]) any { return col.cell(r.cell) }})
 	}
 	return func(seeds []int64, runs []S) string {
-		var rows [][]string
+		var rows []seeded[C]
 		for i, run := range runs {
 			for _, c := range cells(run) {
-				row := []string{fmt.Sprint(seeds[i])}
-				for _, col := range cols {
-					row = append(row, fmt.Sprint(col.cell(c)))
-				}
-				rows = append(rows, row)
+				rows = append(rows, seeded[C]{seeds[i], c})
 			}
 		}
-		return caption + metrics.Table(headers, rows)
+		return caption + render(rows, all)
 	}
 }
 
@@ -259,7 +289,7 @@ type ReplicatedDesignRow struct {
 // seeds: the per-seed runs (in seed order) plus per-design merged rows.
 type ReplicatedComparison struct {
 	replicated[DesignComparison]
-	Rows []ReplicatedDesignRow
+	Sweep[ReplicatedDesignRow]
 }
 
 // RunDesignComparisonSeeds replicates RunDesignComparison across seeds in
@@ -269,7 +299,8 @@ type ReplicatedComparison struct {
 func RunDesignComparisonSeeds(sc Scenario, bursts int, seeds []int64) ReplicatedComparison {
 	out := ReplicatedComparison{replicated: replicate(sc, seeds, func(s Scenario) DesignComparison {
 		return RunDesignComparison(s, bursts)
-	})}
+	}), Sweep: Sweep[ReplicatedDesignRow]{cols: replicatedDesignCols,
+		head: fmt.Sprintf("Designs 1/3/2 over %d seeds (merged round-trip distributions)\n", len(seeds))}}
 	if len(out.Runs) == 0 {
 		return out
 	}
@@ -292,23 +323,15 @@ func RunDesignComparisonSeeds(sc Scenario, bursts int, seeds []int64) Replicated
 	return out
 }
 
-// String renders the merged comparison.
-func (r ReplicatedComparison) String() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Design,
-			fmt.Sprintf("%d", row.SwitchHops),
-			fmt.Sprintf("%d", row.SoftwareHops),
-			row.Mean.String(),
-			row.P50.String(),
-			row.P99.String(),
-			row.Spread.String(),
-			fmt.Sprintf("%d", row.Orders),
-		})
-	}
-	return fmt.Sprintf("Designs 1/3/2 over %d seeds (merged round-trip distributions)\n", len(r.Seeds)) +
-		metrics.Table([]string{"design", "sw-hops", "fn-hops", "mean RT", "p50", "p99", "seed spread", "orders"}, rows)
+var replicatedDesignCols = []column[ReplicatedDesignRow]{
+	{"design", func(r ReplicatedDesignRow) any { return r.Design }},
+	{"sw-hops", func(r ReplicatedDesignRow) any { return r.SwitchHops }},
+	{"fn-hops", func(r ReplicatedDesignRow) any { return r.SoftwareHops }},
+	{"mean RT", func(r ReplicatedDesignRow) any { return r.Mean }},
+	{"p50", func(r ReplicatedDesignRow) any { return r.P50 }},
+	{"p99", func(r ReplicatedDesignRow) any { return r.P99 }},
+	{"seed spread", func(r ReplicatedDesignRow) any { return r.Spread }},
+	{"orders", func(r ReplicatedDesignRow) any { return r.Orders }},
 }
 
 // ReplicatedMroute is the E7 overflow cliff replicated over several seeds,

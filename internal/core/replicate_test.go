@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tradenet/internal/manifest"
-	"tradenet/internal/metrics"
 )
 
 func TestSeeds(t *testing.T) {
@@ -162,9 +161,13 @@ func TestFaultExperimentHarness(t *testing.T) {
 
 	rep := exp.replicate(Scenario{}, Seeds(1, 2))
 	want := "Fake experiment, 2 seed(s)\n\nintro\ncells:\n" +
-		metrics.Table([]string{"seed", "design", "invariants"}, [][]string{
-			{"1", "a", "ok"}, {"1", "b", "ok"}, {"2", "a", "ok"}, {"2", "b", "VIOLATED"},
-		}) + "first seed 1: 2 designs\n"
+		"seed  design  invariants\n" +
+		"----  ------  ----------\n" +
+		"1     a       ok        \n" +
+		"1     b       ok        \n" +
+		"2     a       ok        \n" +
+		"2     b       VIOLATED  \n" +
+		"first seed 1: 2 designs\n"
 	if got := rep.String(); got != want {
 		t.Errorf("rendering:\n%s\nwant:\n%s", got, want)
 	}
