@@ -4,9 +4,9 @@ package main
 // per manifest, in emission order, at -seed 1 -replications 2.
 
 var failoverDigests = []string{
-	"failover-spine-seed1.ndjson 405db0ab20d0d7e5724aa2ec939ebd3fab161027847d5a5a132a4a7136d8c4ce",
+	"failover-spine-seed1.ndjson 3809009d9ab055c1cf68b24030896e94c345cd71de9f07d8bcb5aa523ebec2a7",
 	"failover-wan-outage-seed1.ndjson 273706aab4950f246b4b442222881750f0d5d2e2106799771aed1e5666b1a4b9",
-	"failover-spine-seed2.ndjson 2930daf58906451d255743bd991afa571d6c046d41c721713ac94a6d7a5d932a",
+	"failover-spine-seed2.ndjson 1056fee9d9a9eff6bb95bcde4c043c55c7e14686fd3f6bddec9d3aab8a237c38",
 	"failover-wan-outage-seed2.ndjson 84e5ca3114ef851d968bb564f7e5ecb2b0ee59b4e89d755cb39bf179a098a3d2",
 }
 

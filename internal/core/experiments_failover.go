@@ -32,8 +32,9 @@ import (
 //     measuring how much a replay service alone can give back and how fast.
 
 // Spine-failure schedule: bursts every burstInterval from burstStart; the
-// victim spine dies just before burst spineFailBurst publishes — so that
-// burst flies into the blackhole window — and stays dead for spineOutage.
+// victim spine dies at burst spineFailBurst's instant, right after it
+// publishes — so that burst flies into the blackhole window — and stays
+// dead for spineOutage.
 const (
 	failoverBursts   = 10
 	burstInterval    = 2 * sim.Millisecond
@@ -44,7 +45,7 @@ const (
 
 // SpineFailoverResult is one seed's spine-kill run.
 type SpineFailoverResult struct {
-	Victim         int  // spine index killed
+	Victim         int  // spine index killed: the faulted burst's first group's
 	RecoveredInRun bool // did delivery catch back up before the run ended?
 	// TimeToRecovery is fault instant → first probe at which every published
 	// message (live or replayed) had reached every normalizer. Resolution is
@@ -70,7 +71,8 @@ type SpineFailoverResult struct {
 	FaultLog       string
 }
 
-// runSpineFailover kills the spine carrying raw-feed unit 0 mid-burst.
+// runSpineFailover kills, mid-burst, the spine carrying the first raw group
+// the faulted burst publishes.
 func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 	s := sc
 	s.Seed = seed
@@ -79,18 +81,35 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 	d.WireGapRecovery()
 	sched := d.Sched
 
-	// Aim at the spine carrying the first raw-feed group, so the fault
-	// provably crosses the measured feed.
-	victim := d.LS.GroupSpine(d.RawMap.Groups()[0])
-	res := SpineFailoverResult{Victim: victim}
-
+	var res SpineFailoverResult
 	burstStart := sim.Time(5 * sim.Millisecond) // logons drain first
-	failAt := burstStart.Add(sim.Duration(spineFailBurst)*burstInterval - 10*sim.Microsecond)
+	failAt := burstStart.Add(sim.Duration(spineFailBurst) * burstInterval)
 
+	// Aim at the spine carrying the first raw group the faulted burst
+	// publishes. It dies right after the publish, while the burst's frames
+	// are still on their way to the leaves, so the fault provably crosses
+	// the measured feed whichever groups the seed's burst touches.
+	var pubAtFail uint64
+	var first feed.UnitHeader
+	watch := false
+	d.Ex.SetOnPublishDgram(func(dgram []byte) {
+		if watch {
+			watch = false
+			if _, err := feed.DecodeUnitHeader(dgram, &first); err != nil {
+				panic("failover: exchange published a malformed datagram: " + err.Error())
+			}
+		}
+	})
+	d.publishBursts(failoverBursts, s.BurstMessages/failoverBursts, burstStart, burstInterval, func() {
+		if sched.Now() == failAt {
+			pubAtFail, watch = d.Ex.PublishedMsgs, true
+		}
+	})
 	plan := fault.NewPlan(sched)
-	plan.SwitchOutage(d.LS.SpineFault(victim), failAt, spineOutage)
-
-	d.publishBursts(failoverBursts, s.BurstMessages/failoverBursts, burstStart, burstInterval, nil)
+	sched.At(failAt, func() {
+		res.Victim = d.LS.GroupSpine(d.RawMap.GroupByIndex(int(first.Unit)))
+		plan.SwitchOutage(d.LS.SpineFault(res.Victim), failAt, spineOutage)
+	})
 	d.Ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
 
 	// Completeness probes: every message the exchange published (bursts plus
@@ -108,8 +127,6 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 		}
 		return t
 	}
-	var pubAtFail uint64
-	sched.AtPrio(failAt, sim.PrioReport, func() { pubAtFail = d.Ex.PublishedMsgs })
 	end := burstStart.Add(sim.Duration(failoverBursts)*burstInterval + 5*sim.Millisecond)
 	for at := failAt.Add(recoveryProbeGap); at <= end; at = at.Add(recoveryProbeGap) {
 		sched.AtPrio(at, sim.PrioReport, func() {

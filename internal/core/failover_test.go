@@ -90,3 +90,14 @@ func TestPullOnGapProtectsQuotes(t *testing.T) {
 		t.Error("quote pulls fired but cancelled nothing")
 	}
 }
+
+// TestSpineKillBitesEverySeed: E19's victim is a spine the faulted burst
+// publishes through, so on every seed the kill blackholes, cuts or purges
+// at least one frame.
+func TestSpineKillBitesEverySeed(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		if sp := runSpineFailover(SmallScenario(), seed); sp.Blackholed+sp.LostFrames+sp.Purged == 0 {
+			t.Errorf("seed %d: killing spine%d touched no frame", seed, sp.Victim)
+		}
+	}
+}
