@@ -132,6 +132,10 @@ type Record struct {
 // headerLen is the fixed record prefix: length (4), kind (1), seq (8).
 const headerLen = 13
 
+// maxRecordLen is the longest record Append encodes: a RecSessionTx whose
+// payload fills its 16-bit length field.
+const maxRecordLen = headerLen + 4 + 4 + 2 + 0xffff
+
 // Errors surfaced by the journal codec and follower.
 var (
 	// ErrShort reports a truncated or malformed record.
@@ -316,7 +320,8 @@ func (j *Journal) Heartbeat() {
 
 // Follower is the standby-side receiver: it reassembles records from
 // arbitrary stream segmentation, verifies journal-sequence contiguity, and
-// dispatches each record to Apply in order.
+// dispatches each record to Apply in order. It is fail-stop: the first
+// malformed or out-of-sequence record stops it for good.
 type Follower struct {
 	// Apply consumes one decoded record. Payload fields alias the
 	// reassembly buffer and are valid only for the duration of the call.
@@ -325,6 +330,7 @@ type Follower struct {
 	buf     []byte
 	nextSeq uint64
 	rec     Record
+	err     error // the error that stopped the follower
 
 	// Applied and Bytes count everything dispatched; LastSeq is the last
 	// journal sequence applied — the replay-depth observables.
@@ -335,8 +341,13 @@ type Follower struct {
 // LastSeq returns the journal sequence of the last record applied.
 func (f *Follower) LastSeq() uint64 { return f.nextSeq }
 
-// Receive ingests transport bytes, dispatching every complete record.
+// Receive ingests transport bytes, dispatching every complete record. Once
+// a record fails to decode or breaks the sequence, that call and every
+// later one return the same error and buffer nothing more.
 func (f *Follower) Receive(data []byte) error {
+	if f.err != nil {
+		return f.err
+	}
 	f.buf = append(f.buf, data...)
 	off := 0
 	defer func() {
@@ -349,17 +360,20 @@ func (f *Follower) Receive(data []byte) error {
 			return nil
 		}
 		length := int(binary.BigEndian.Uint32(b))
-		if length < headerLen {
-			return ErrShort
+		if length < headerLen || length > maxRecordLen {
+			f.err = fmt.Errorf("%w: declared length %d", ErrShort, length)
+			return f.err
 		}
 		if len(b) < length {
 			return nil
 		}
 		if _, err := Decode(b[:length], &f.rec); err != nil {
+			f.err = err
 			return err
 		}
 		if f.rec.Seq != f.nextSeq+1 {
-			return fmt.Errorf("%w: got %d, want %d", ErrSeqGap, f.rec.Seq, f.nextSeq+1)
+			f.err = fmt.Errorf("%w: got %d, want %d", ErrSeqGap, f.rec.Seq, f.nextSeq+1)
+			return f.err
 		}
 		f.nextSeq = f.rec.Seq
 		f.Applied++

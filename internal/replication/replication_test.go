@@ -151,6 +151,39 @@ func TestFollowerDetectsSeqGap(t *testing.T) {
 	}
 }
 
+// TestFollowerFailStop: after a bad record the follower applies nothing
+// more, returns the first error on every later call without buffering the
+// input, and a header declaring more than the codec can encode is an error,
+// not a wait.
+func TestFollowerFailStop(t *testing.T) {
+	var wire []byte
+	j := NewJournal(func(b []byte) { wire = append(wire, b...) })
+	j.Heartbeat()
+	j.Heartbeat()
+	bad := append([]byte(nil), wire[:headerLen]...)
+	bad[4] = 0xee // no such kind
+	applied := 0
+	f := &Follower{Apply: func(*Record) { applied++ }}
+	first := f.Receive(bad)
+	if !errors.Is(first, ErrUnknown) {
+		t.Fatalf("unknown kind: err = %v, want ErrUnknown", first)
+	}
+	buffered := len(f.buf)
+	for i := 0; i < 2; i++ {
+		if err := f.Receive(wire); err != first {
+			t.Fatalf("call %d after the bad record: err = %v, want %v again", i+1, err, first)
+		}
+	}
+	if applied != 0 || len(f.buf) != buffered {
+		t.Fatalf("stopped follower applied %d records and grew its buffer %d -> %d bytes", applied, buffered, len(f.buf))
+	}
+
+	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(RecHeartbeat), 0, 0, 0, 0, 0, 0, 0, 1}
+	if err := (&Follower{}).Receive(huge); !errors.Is(err, ErrShort) {
+		t.Fatalf("4 GB length: err = %v, want ErrShort", err)
+	}
+}
+
 // TestFollowerCoalescedSegments: many records in one Receive call all
 // dispatch, and a record split across the call boundary heals.
 func TestFollowerCoalescedSegments(t *testing.T) {
