@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// TestOEFailoverInvariants runs E21 at small scale and checks the paper's
-// resilience invariants on every design: the kill is detected, no resting
-// orders survive a dead session, the reconnected view matches the book, and
-// no duplicate executions slip through retry/replay.
+// TestOEFailoverInvariants runs E21 at small scale on seeds 1-3, the seeds
+// the reps3 golden pins, and checks the paper's resilience invariants on
+// every design: the kill is detected, no resting orders survive a dead
+// session, the reconnected view matches the book, and no duplicate
+// executions slip through retry/replay.
 func TestOEFailoverInvariants(t *testing.T) {
-	rep := RunOEFailover(SmallScenario(), []int64{1, 2})
-	if len(rep.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(rep.Runs))
+	rep := RunOEFailover(SmallScenario(), Seeds(1, 3))
+	if len(rep.Runs) != 3 {
+		t.Fatalf("runs = %d, want 3", len(rep.Runs))
 	}
 	if !rep.AllInvariantsOK() {
 		t.Fatalf("invariants violated:\n%s", rep)
