@@ -6,8 +6,9 @@
 // real wire-format codecs and picosecond-resolution network models.
 //
 // The implementation lives under internal/; runnable entry points are
-// cmd/tradenet (experiment harness), cmd/replay, cmd/pcapdump, and the
-// programs in examples/. `tradenet -experiment <id>` regenerates every
-// table and figure; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-versus-measured results.
+// cmd/tradenet (experiment harness), cmd/replay and cmd/pcapdump, and the
+// examples are Example functions in internal/core that `go test` checks.
+// `tradenet -experiment <id>` regenerates every table and figure; see
+// DESIGN.md for the experiment index and EXPERIMENTS.md for
+// paper-versus-measured results.
 package tradenet

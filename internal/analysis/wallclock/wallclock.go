@@ -36,8 +36,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	// Only simulation code is bound: cmd/ and examples/ are harnesses that
-	// may legitimately time or pace against the real world.
+	// Only simulation code is bound: cmd/ holds harnesses that may
+	// legitimately time or pace against the real world.
 	if !strings.HasPrefix(pass.Pkg.Path(), analysis.ModulePath+"/internal/") {
 		return nil
 	}

@@ -146,12 +146,3 @@ func (c *Circuit) Raining() bool { return c.rainDepth > 0 }
 func (c *Circuit) FaultName() string {
 	return c.A.Name + "<->" + c.B.Name + "/" + c.Config.Medium.String()
 }
-
-// Advantage returns how much faster medium fast is than medium slow between
-// the same pair — the latency edge a microwave network buys (§2).
-func Advantage(sched *sim.Scheduler, a, b Facility) sim.Duration {
-	null := netsim.HandlerFunc(func(*netsim.Port, *netsim.Frame) {})
-	f := NewCircuit(sched, a, b, DefaultFiber(), null, null)
-	m := NewCircuit(sched, a, b, DefaultMicrowave(), null, null)
-	return f.Latency - m.Latency
-}

@@ -55,7 +55,9 @@ func TestDistancesSymmetricAndTensOfMiles(t *testing.T) {
 
 func TestMicrowaveBeatsFiberOnLatency(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	adv := Advantage(sched, Mahwah, Carteret)
+	fiber := NewCircuit(sched, Mahwah, Carteret, DefaultFiber(), discard, discard)
+	microwave := NewCircuit(sched, Mahwah, Carteret, DefaultMicrowave(), discard, discard)
+	adv := fiber.Latency - microwave.Latency
 	if adv <= 0 {
 		t.Fatal("microwave should beat fiber")
 	}

@@ -79,36 +79,3 @@ func (d *Design2) attachStandby(bak *exchange.Exchange) {
 // loop: exchange → cloud fabric → strategy → cloud fabric → exchange crosses
 // no switch the tenant can see; the transit is the equalizer's delay.
 func (d *Design2) loop() (int, sim.Duration) { return 0, 0 }
-
-// SkewStats summarizes cross-tenant delivery skew: for every datagram seen
-// by at least two tenants, max arrival minus min arrival.
-func (d *Design2) SkewStats() (maxSkew sim.Duration, samples int) {
-	for _, byTenant := range d.arrivals {
-		var lo, hi sim.Time
-		n := 0
-		for _, at := range byTenant {
-			if at == 0 {
-				continue
-			}
-			if n == 0 {
-				lo, hi = at, at
-			} else {
-				if at < lo {
-					lo = at
-				}
-				if at > hi {
-					hi = at
-				}
-			}
-			n++
-		}
-		if n < 2 {
-			continue
-		}
-		samples++
-		if s := hi.Sub(lo); s > maxSkew {
-			maxSkew = s
-		}
-	}
-	return maxSkew, samples
-}

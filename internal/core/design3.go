@@ -134,23 +134,3 @@ func (d *Design3) loop() (int, sim.Duration) {
 	}
 	return 4, 4*cfg.FanoutLatency + sim.Duration(merges)*cfg.MergeLatency
 }
-
-// MergePorts reports how many merge outputs each of the four networks has.
-func (d *Design3) MergePorts() map[string]int {
-	count := func(sw interface{ IsMergeOutput(int) bool }, n int) int {
-		c := 0
-		for i := 0; i < n; i++ {
-			if sw.IsMergeOutput(i) {
-				c++
-			}
-		}
-		return c
-	}
-	n := d.Fabric.Config().Ports
-	return map[string]int{
-		"ex-norm":    count(d.Fabric.ExToNorm, n),
-		"norm-strat": count(d.Fabric.NormToStrat, n),
-		"strat-gw":   count(d.Fabric.StratToGw, n),
-		"gw-ex":      count(d.Fabric.GwToEx, n),
-	}
-}

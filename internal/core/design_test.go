@@ -102,7 +102,7 @@ func TestDesign3RoundTripBeatsDesign1(t *testing.T) {
 func TestDesign3MergeAccounting(t *testing.T) {
 	sc := SmallScenario()
 	d := NewDesign3(sc, 0)
-	merges := d.MergePorts()
+	merges := mergePorts(d)
 	// Strategies' partitions span both normalizers → their single NICs are
 	// merge outputs; gateways and the exchange port merge many sources.
 	if merges["norm-strat"] == 0 {
@@ -113,7 +113,7 @@ func TestDesign3MergeAccounting(t *testing.T) {
 	}
 	// Subscription caps eliminate merging at the cost of partitions.
 	dCapped := NewDesign3(sc, 1)
-	capped := dCapped.MergePorts()
+	capped := mergePorts(dCapped)
 	if capped["norm-strat"] != 0 {
 		t.Fatalf("maxSubs=1 should remove norm-strat merges: %v", capped)
 	}
@@ -130,7 +130,7 @@ func TestDesign2EqualizationFairness(t *testing.T) {
 
 	dEq := NewDesign2(sc, lats, true)
 	rtEq := dEq.MeasureRoundTrip(4)
-	maxSkew, samples := dEq.SkewStats()
+	maxSkew, samples := skewStats(dEq)
 	if samples == 0 {
 		t.Fatal("no skew samples")
 	}
@@ -140,7 +140,7 @@ func TestDesign2EqualizationFairness(t *testing.T) {
 
 	dRaw := NewDesign2(sc, lats, false)
 	rtRaw := dRaw.MeasureRoundTrip(4)
-	rawSkew, _ := dRaw.SkewStats()
+	rawSkew, _ := skewStats(dRaw)
 	if rawSkew != 15*sim.Microsecond {
 		t.Fatalf("unequalized skew = %v, want 15µs (20-5)", rawSkew)
 	}
@@ -169,4 +169,57 @@ func TestDesignsAreDeterministic(t *testing.T) {
 			t.Fatalf("sample %d differs: %v vs %v", i, a.Samples[i], b.Samples[i])
 		}
 	}
+}
+
+// mergePorts reports how many merge outputs each of the four networks has.
+func mergePorts(d *Design3) map[string]int {
+	count := func(sw interface{ IsMergeOutput(int) bool }, n int) int {
+		c := 0
+		for i := 0; i < n; i++ {
+			if sw.IsMergeOutput(i) {
+				c++
+			}
+		}
+		return c
+	}
+	n := d.Fabric.Config().Ports
+	return map[string]int{
+		"ex-norm":    count(d.Fabric.ExToNorm, n),
+		"norm-strat": count(d.Fabric.NormToStrat, n),
+		"strat-gw":   count(d.Fabric.StratToGw, n),
+		"gw-ex":      count(d.Fabric.GwToEx, n),
+	}
+}
+
+// skewStats summarizes cross-tenant delivery skew: for every datagram seen
+// by at least two tenants, max arrival minus min arrival.
+func skewStats(d *Design2) (maxSkew sim.Duration, samples int) {
+	for _, byTenant := range d.arrivals {
+		var lo, hi sim.Time
+		n := 0
+		for _, at := range byTenant {
+			if at == 0 {
+				continue
+			}
+			if n == 0 {
+				lo, hi = at, at
+			} else {
+				if at < lo {
+					lo = at
+				}
+				if at > hi {
+					hi = at
+				}
+			}
+			n++
+		}
+		if n < 2 {
+			continue
+		}
+		samples++
+		if s := hi.Sub(lo); s > maxSkew {
+			maxSkew = s
+		}
+	}
+	return maxSkew, samples
 }
