@@ -89,26 +89,24 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 	// publishes. It dies right after the publish, while the burst's frames
 	// are still on their way to the leaves, so the fault provably crosses
 	// the measured feed whichever groups the seed's burst touches.
+	plan := fault.NewPlan(sched)
 	var pubAtFail uint64
-	var first feed.UnitHeader
 	watch := false
 	d.Ex.SetOnPublishDgram(func(dgram []byte) {
-		if watch {
+		if !watch {
+			return
+		}
+		var h feed.UnitHeader
+		if _, err := feed.DecodeUnitHeader(dgram, &h); err == nil {
 			watch = false
-			if _, err := feed.DecodeUnitHeader(dgram, &first); err != nil {
-				panic("failover: exchange published a malformed datagram: " + err.Error())
-			}
+			res.Victim = d.LS.GroupSpine(d.RawMap.GroupByIndex(int(h.Unit)))
+			plan.SwitchOutage(d.LS.SpineFault(res.Victim), failAt, spineOutage)
 		}
 	})
 	d.publishBursts(failoverBursts, s.BurstMessages/failoverBursts, burstStart, burstInterval, func() {
 		if sched.Now() == failAt {
 			pubAtFail, watch = d.Ex.PublishedMsgs, true
 		}
-	})
-	plan := fault.NewPlan(sched)
-	sched.At(failAt, func() {
-		res.Victim = d.LS.GroupSpine(d.RawMap.GroupByIndex(int(first.Unit)))
-		plan.SwitchOutage(d.LS.SpineFault(res.Victim), failAt, spineOutage)
 	})
 	d.Ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
 
