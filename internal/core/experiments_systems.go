@@ -198,10 +198,11 @@ type MergeRow struct {
 
 // RunMergeBottleneck is E9, the L1S merge bottleneck under bursty feeds: it
 // merges fanIn bursty feeds onto one 10G L1S output for each fan-in level,
-// measuring queueing and loss. Each source offers ~27% of line rate on average with 8x bursts (the Fig 2(c) structure), so the
-// merged feed crosses saturation between fan-in 2 and 4 — "merged feeds can
-// easily exceed the available bandwidth, leading to latency from queuing or
-// packet loss" (§4.3).
+// measuring queueing and loss. Each source offers ~27% of line rate on
+// average with 8x bursts (the Fig 2(c) structure), so the merged feed
+// crosses saturation between fan-in 2 and 4 — "merged feeds can easily
+// exceed the available bandwidth, leading to latency from queuing or packet
+// loss" (§4.3).
 func RunMergeBottleneck(fanIns []int, millis int, seed int64) Sweep[MergeRow] {
 	out := Sweep[MergeRow]{head: "L1S merge bottleneck (§4.3): bursty feeds onto one 10G output\n", cols: mergeCols}
 	end := sim.Time(sim.Duration(millis) * sim.Millisecond)
