@@ -45,7 +45,7 @@ const (
 
 // SpineFailoverResult is one seed's spine-kill run.
 type SpineFailoverResult struct {
-	Victim         int  // spine index killed: the faulted burst's first group's
+	Victim         int  // spine killed: the one carrying the faulted burst's first group
 	RecoveredInRun bool // did delivery catch back up before the run ended?
 	// TimeToRecovery is fault instant → first probe at which every published
 	// message (live or replayed) had reached every normalizer. Resolution is
@@ -90,7 +90,6 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 	// are still on their way to the leaves, so the fault provably crosses
 	// the measured feed whichever groups the seed's burst touches.
 	plan := fault.NewPlan(sched)
-	var pubAtFail uint64
 	watch := false
 	d.Ex.SetOnPublishDgram(func(dgram []byte) {
 		if !watch {
@@ -104,9 +103,7 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 		}
 	})
 	d.publishBursts(failoverBursts, s.BurstMessages/failoverBursts, burstStart, burstInterval, func() {
-		if sched.Now() == failAt {
-			pubAtFail, watch = d.Ex.PublishedMsgs, true
-		}
+		watch = sched.Now() == failAt
 	})
 	d.Ex.OnOrderAccepted = func(*orderentry.Msg, sim.Time) { res.Orders++ }
 
@@ -125,6 +122,8 @@ func runSpineFailover(sc Scenario, seed int64) SpineFailoverResult {
 		}
 		return t
 	}
+	var pubAtFail uint64
+	sched.AtPrio(failAt, sim.PrioControl, func() { pubAtFail = d.Ex.PublishedMsgs })
 	end := burstStart.Add(sim.Duration(failoverBursts)*burstInterval + 5*sim.Millisecond)
 	for at := failAt.Add(recoveryProbeGap); at <= end; at = at.Add(recoveryProbeGap) {
 		sched.AtPrio(at, sim.PrioReport, func() {
