@@ -30,7 +30,7 @@ type Design3 struct {
 // proliferation is to restrict the total number of normalizers each trading
 // strategy can subscribe to"); 0 means all.
 func NewDesign3(sc Scenario, maxSubs int) *Design3 {
-	d := &Design3{Plant: newPlant(sc, shape{name: "Design 3 (L1S)", ownPartitions: true}), maxSubs: maxSubs}
+	d := &Design3{Plant: newPlant(sc, shape{name: "Design 3 (L1S)"}), maxSubs: maxSubs}
 	cfg := topo.DefaultL1FabricConfig()
 	cfg.Ports = 2*sc.Servers() + 16
 	d.Fabric = topo.NewL1Fabric(d.Sched, cfg)

@@ -71,10 +71,6 @@ type shape struct {
 	// feed itself and that many strategies take all of it and hold their own
 	// exchange sessions — no normalizer tier, no gateway tier.
 	tenants int
-	// ownPartitions makes normalizer i publish only the partitions p with
-	// p % Normalizers == i: a consumer behind an L1S cannot leave a group,
-	// so the fleet divides the work instead of duplicating it.
-	ownPartitions bool
 }
 
 // hostIDs: the exchange uses 100+, normalizers 1000+, strategies 10000+,
@@ -100,10 +96,11 @@ func newPlant(sc Scenario, sh shape) Plant {
 	p.Ex = p.newExchange("", idExchange)
 
 	for i := 0; i < norms; i++ {
-		cfg := firm.NormalizerConfig{ProcLatency: sc.FnLatency}
-		if sh.ownPartitions {
-			cfg.PartitionOwned = func(part int) bool { return part%norms == i }
-		}
+		// Normalizer i publishes only the partitions p with p % norms == i:
+		// the fleet divides the internal feed instead of each normalizer
+		// publishing all of it, so a consumer gets every datagram once.
+		cfg := firm.NormalizerConfig{ProcLatency: sc.FnLatency,
+			PartitionOwned: func(part int) bool { return part%norms == i }}
 		p.Norms = append(p.Norms, firm.NewNormalizer(p.Sched, p.U, fmt.Sprintf("norm%d", i), uint32(idNormalizer+2*i),
 			feed.ExchangeB, p.RawMap, p.OutMap, cfg))
 	}
