@@ -20,24 +20,24 @@ var oefailoverDigests = []string{
 }
 
 var wanredundancyDigests = []string{
-	"wanredundancy-design-1-leaf-spine-squall-replay-only-seed1.ndjson ce2be1bbaa94c99c211ab319931f248bdf24723c897b060e7e41aa39eaf0779d",
-	"wanredundancy-design-1-leaf-spine-squall-parity-fec-seed1.ndjson 05f17a250d500ec8cbac9d50a4343e0abc07c39cfc5598daa9c1ceb6bbf0c1db",
-	"wanredundancy-design-1-leaf-spine-squall-duplicate-seed1.ndjson 83ac4463fddc0288df3a92293ecc4a0e7b70e6ed1421733e4d9d6cf627846584",
-	"wanredundancy-design-1-leaf-spine-squall-adaptive-seed1.ndjson cb32c33489298b87ca2aff7215f82a6ec0746a9b6109a67cf339c2d038c42ed0",
-	"wanredundancy-design-1-leaf-spine-drizzle-replay-only-seed1.ndjson 3b1eff3b8b526b0a6fbc8c16f029364a7b41173ad19f89041a5bb5a7bcd3c091",
-	"wanredundancy-design-1-leaf-spine-drizzle-parity-fec-seed1.ndjson 5fe3f386a9ef4362e9a5d291d2e8590876dff52b96d44917b726307afef75d51",
-	"wanredundancy-design-1-leaf-spine-drizzle-duplicate-seed1.ndjson 3a10a61700177a8e3660c186285da6354c8e1c67d106a2f2fd78c0f279328100",
-	"wanredundancy-design-1-leaf-spine-drizzle-adaptive-seed1.ndjson d3d2ab0ed91aed2b19767512203dfd06170f846f9e910834e89f5e24f6c88e52",
+	"wanredundancy-design-1-leaf-spine-squall-replay-only-seed1.ndjson 165f6e91a9453daea0bac8fba7a1a8d2995522688fbe9695cfd2e164fa6c8e7a",
+	"wanredundancy-design-1-leaf-spine-squall-parity-fec-seed1.ndjson 2f92d4c2e97677e8cf1c85e74d84729e206f1fa4740fc0a48565b00f1621381d",
+	"wanredundancy-design-1-leaf-spine-squall-duplicate-seed1.ndjson 2a24bf66253dccda6b52d46f0b3749d794d81491ef62884d7976f1ba4374217a",
+	"wanredundancy-design-1-leaf-spine-squall-adaptive-seed1.ndjson 542bdf1c2d816b9a36a472fc90a68d5947493c0ab3c8c712e3232a4ae4af477d",
+	"wanredundancy-design-1-leaf-spine-drizzle-replay-only-seed1.ndjson 60b39a77740bcf2d53d1c9ca8fe8ed0822a0aea5fef4b24eacf7095e3c20b3bb",
+	"wanredundancy-design-1-leaf-spine-drizzle-parity-fec-seed1.ndjson 1ebb236ee19f709e1991fc320f35bf6d7643a9aa8e72df76689ea797221eef0f",
+	"wanredundancy-design-1-leaf-spine-drizzle-duplicate-seed1.ndjson d00789eca856065b07fdbc5c0a3debdb6f8129bcd9eaa6dcdf70a6c3b3cf2417",
+	"wanredundancy-design-1-leaf-spine-drizzle-adaptive-seed1.ndjson 1d218c9cd988713cbce1290944cd3f4f458fa9324189da22868c7d50e2da9e10",
 	"wanredundancy-design-2-cloud-squall-adaptive-seed1.ndjson bb83476792b1ac2db53abafb9c27bb66a10796cb332b5f08ac4014ec201e86da",
 	"wanredundancy-design-3-l1s-squall-adaptive-seed1.ndjson 15c7eddd96690e72e843684b34c929fc611fd1b61dd626f4d458a236c735342d",
-	"wanredundancy-design-1-leaf-spine-squall-replay-only-seed2.ndjson ed8d8b29d06a0d3a64e1b9546f6222dd951b8d4b760f1a4358439e939165eda8",
-	"wanredundancy-design-1-leaf-spine-squall-parity-fec-seed2.ndjson 1776b18c47d3faa1050725de769e5df7723fda40280480031ea5dfcdb5b9fba1",
-	"wanredundancy-design-1-leaf-spine-squall-duplicate-seed2.ndjson 4250708e0850b11d643bc5b307b3b893830fa81467471acbe58bcbc6e1ddbe50",
-	"wanredundancy-design-1-leaf-spine-squall-adaptive-seed2.ndjson 3258ffaf91f1fe85e84601a06630835280fda12989df2c646799e1915afaf4cd",
-	"wanredundancy-design-1-leaf-spine-drizzle-replay-only-seed2.ndjson 6f00d74b8901a1342a049aa8cf51eaae2f864672d448f04101c4f39232a8a6ad",
-	"wanredundancy-design-1-leaf-spine-drizzle-parity-fec-seed2.ndjson ab9aaac6b11046fe8106690fc79e193c27b28d5835033a16d9e9ce59d50c9e5a",
-	"wanredundancy-design-1-leaf-spine-drizzle-duplicate-seed2.ndjson d11d8d4d4f6b5df7c1651b58ad9b80839b8f52d2507e13f742875dc25fa91f84",
-	"wanredundancy-design-1-leaf-spine-drizzle-adaptive-seed2.ndjson 0e1a60c6e597b6b797aa90b9cc605319735f11562820d17613f0e765e0020d41",
+	"wanredundancy-design-1-leaf-spine-squall-replay-only-seed2.ndjson 8b26e327baaf59f88ceb65bf13d9ca78b7d00eb25980e44f84e16d2a10cbc3e7",
+	"wanredundancy-design-1-leaf-spine-squall-parity-fec-seed2.ndjson b3b47003591316fa5f6663404377497ed8fea0745c96db0247b19447008bb781",
+	"wanredundancy-design-1-leaf-spine-squall-duplicate-seed2.ndjson 1cbe18fbd6af976cf33039212e3a9109ec88fbd833d8f1bca97cdfe530dab71e",
+	"wanredundancy-design-1-leaf-spine-squall-adaptive-seed2.ndjson 029beedbbd2f5c6104abe7fd65c8376c09d797481154aeb171581b158af0f6b0",
+	"wanredundancy-design-1-leaf-spine-drizzle-replay-only-seed2.ndjson 8b6b258394d8d052b442d2118326ea633984d11b3fd877687fb70f8d209b510b",
+	"wanredundancy-design-1-leaf-spine-drizzle-parity-fec-seed2.ndjson 8e35a13b5010a25be8a24aae33165053f1f51f0d3e60086ae0aca95045ac2c5d",
+	"wanredundancy-design-1-leaf-spine-drizzle-duplicate-seed2.ndjson 6a287c03512ee8412a35e724cf5e61b5b8c5ed1edfc33f64c7730501f3fa98f4",
+	"wanredundancy-design-1-leaf-spine-drizzle-adaptive-seed2.ndjson a8fca2b69c65573bed3f1f32845cadd7d241c285d43b1e6cb44f964005500619",
 	"wanredundancy-design-2-cloud-squall-adaptive-seed2.ndjson 88b74ac8569198c732b6bb1a5c26cf122962a8a63ff5d78f7d9aa1ce95cdeab4",
 	"wanredundancy-design-3-l1s-squall-adaptive-seed2.ndjson 7454a0f4eb123edb35484c373434f80c16171d81573319d09689704f23308869",
 }

@@ -50,9 +50,9 @@ func Example_quickstart() {
 	// building Design 1 plant: 16 servers (2 normalizers, 12 strategies, 2 gateways)
 	//
 	// orders completing the loop: 33
-	// mean tick-to-trade:         15.874µs
+	// mean tick-to-trade:         15.199µs
 	//   software (3 hops @ 2µs):   6µs
-	//   network (12 switch hops): 9.874µs (62% of total)
+	//   network (12 switch hops): 9.199µs (61% of total)
 	//
 	// the §4.1 observation: with commodity switches, roughly half the
 	// round trip is spent inside the network.
@@ -84,7 +84,7 @@ func Example_designcompare() {
 	// Designs 1/3/2: tick-to-trade round trip (§4)
 	// design                 sw-hops  fn-hops  mean RT     net time    switch lat  net share  orders
 	// ---------------------  -------  -------  ----------  ----------  ----------  ---------  ------
-	// Design 1 (leaf-spine)  12       3        15.874µs    9.874µs     6µs         62%        33
+	// Design 1 (leaf-spine)  12       3        15.199µs    9.199µs     6µs         61%        33
 	// Design 3 (L1S)         4        3        8.766µs     2.766µs     170ns       32%        33
 	// Design 2 (cloud)       0        1        155.948µs   153.948µs   0ps         99%        33
 	// switch-latency ratio D1/D3: 35x (paper: ~two orders of magnitude per hop: 500ns vs 5-6ns)
