@@ -185,8 +185,8 @@ func main() {
 	}
 	// Per-unit loss accounting from the sequencing.
 	for unit, r := range reasm {
-		if m, g, lost := r.Stats(); g > 0 {
-			fmt.Printf("unit %d: %d messages, %d gaps, %d lost\n", unit, m, g, lost)
+		if m, g, lost, dups := r.Stats(); g > 0 || dups > 0 {
+			fmt.Printf("unit %d: %d messages, %d gaps, %d lost, %d duplicates\n", unit, m, g, lost, dups)
 		}
 	}
 }

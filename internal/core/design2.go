@@ -4,7 +4,6 @@ import (
 	"tradenet/internal/device"
 	"tradenet/internal/exchange"
 	"tradenet/internal/netsim"
-	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 	"tradenet/internal/units"
 )
@@ -18,20 +17,12 @@ type Design2 struct {
 	Plant
 	EqMD *device.CloudEqualizer
 	EqOE *device.CloudEqualizer
-
-	// arrivals[ipID][tenant] records market-data delivery times for skew
-	// analysis; the zero Time means "not delivered to this tenant" (nothing
-	// arrives at t=0 — every path charges positive latency).
-	arrivals map[uint16][]sim.Time
 }
 
 // NewDesign2 builds the cloud plant with the given per-tenant path
 // latencies (zone placement). equalize toggles the fairness fabric.
 func NewDesign2(sc Scenario, tenantLat []sim.Duration, equalize bool) *Design2 {
-	d := &Design2{
-		Plant:    newPlant(sc, shape{name: "Design 2 (cloud)", tenants: len(tenantLat)}),
-		arrivals: make(map[uint16][]sim.Time),
-	}
+	d := &Design2{Plant: newPlant(sc, shape{name: "Design 2 (cloud)", tenants: len(tenantLat)})}
 	cfg := device.DefaultCloudConfig()
 	cfg.Equalize = equalize
 	d.EqMD = device.NewCloudEqualizer(d.Sched, "cloud-md", tenantLat, cfg)
@@ -46,21 +37,6 @@ func (d *Design2) place() {
 	for i, s := range d.Strats {
 		netsim.Connect(s.MDNIC().Port, d.EqMD.TenantPort(i+1), units.Rate10G, 0)
 		netsim.Connect(s.OENIC().Port, d.EqOE.TenantPort(i+1), units.Rate10G, 0)
-
-		// Wrap the MD handler to record per-datagram arrival for skew.
-		inner := s.MDNIC().OnFrame
-		s.MDNIC().OnFrame = func(n *netsim.NIC, f *netsim.Frame) {
-			var uf pkt.UDPFrame
-			if err := pkt.ParseUDPFrame(f.Data, &uf); err == nil {
-				m := d.arrivals[uf.IP.ID]
-				if m == nil {
-					m = make([]sim.Time, len(d.Strats))
-					d.arrivals[uf.IP.ID] = m
-				}
-				m[i] = d.Sched.Now()
-			}
-			inner(n, f)
-		}
 	}
 }
 

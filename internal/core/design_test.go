@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"tradenet/internal/device"
+	"tradenet/internal/feed"
+	"tradenet/internal/netsim"
+	"tradenet/internal/pkt"
 	"tradenet/internal/sim"
 )
 
@@ -129,8 +132,9 @@ func TestDesign2EqualizationFairness(t *testing.T) {
 	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
 
 	dEq := NewDesign2(sc, lats, true)
+	skewEq := recordSkew(dEq)
 	rtEq := dEq.MeasureRoundTrip(4)
-	maxSkew, samples := skewStats(dEq)
+	maxSkew, samples := skewEq()
 	if samples == 0 {
 		t.Fatal("no skew samples")
 	}
@@ -139,8 +143,9 @@ func TestDesign2EqualizationFairness(t *testing.T) {
 	}
 
 	dRaw := NewDesign2(sc, lats, false)
+	skewRaw := recordSkew(dRaw)
 	rtRaw := dRaw.MeasureRoundTrip(4)
-	rawSkew, _ := skewStats(dRaw)
+	rawSkew, _ := skewRaw()
 	if rawSkew != 15*sim.Microsecond {
 		t.Fatalf("unequalized skew = %v, want 15µs (20-5)", rawSkew)
 	}
@@ -191,35 +196,76 @@ func mergePorts(d *Design3) map[string]int {
 	}
 }
 
-// skewStats summarizes cross-tenant delivery skew: for every datagram seen
-// by at least two tenants, max arrival minus min arrival.
-func skewStats(d *Design2) (maxSkew sim.Duration, samples int) {
-	for _, byTenant := range d.arrivals {
-		var lo, hi sim.Time
-		n := 0
-		for _, at := range byTenant {
-			if at == 0 {
-				continue
-			}
-			if n == 0 {
-				lo, hi = at, at
-			} else {
-				if at < lo {
-					lo = at
+// recordSkew wraps every tenant's market-data handler to record when each
+// feed datagram (unit, sequence) reaches it, and returns a summary of
+// cross-tenant delivery skew: for every datagram seen by at least two
+// tenants, max arrival minus min arrival.
+func recordSkew(d *Design2) func() (maxSkew sim.Duration, samples int) {
+	type dgramID struct {
+		unit uint8
+		seq  uint32
+	}
+	// arrivals[id][tenant]; the zero Time means "not delivered to this
+	// tenant" (nothing arrives at t=0 — every path charges positive latency).
+	arrivals := map[dgramID][]sim.Time{}
+	for i, s := range d.Strats {
+		inner := s.MDNIC().OnFrame
+		s.MDNIC().OnFrame = func(n *netsim.NIC, f *netsim.Frame) {
+			var uf pkt.UDPFrame
+			var h feed.UnitHeader
+			if pkt.ParseUDPFrame(f.Data, &uf) == nil {
+				if _, err := feed.DecodeUnitHeader(uf.Payload, &h); err == nil {
+					id := dgramID{h.Unit, h.Seq}
+					if arrivals[id] == nil {
+						arrivals[id] = make([]sim.Time, len(d.Strats))
+					}
+					arrivals[id][i] = d.Sched.Now()
 				}
-				if at > hi {
-					hi = at
-				}
 			}
-			n++
-		}
-		if n < 2 {
-			continue
-		}
-		samples++
-		if s := hi.Sub(lo); s > maxSkew {
-			maxSkew = s
+			inner(n, f)
 		}
 	}
-	return maxSkew, samples
+	return func() (maxSkew sim.Duration, samples int) {
+		for _, byTenant := range arrivals {
+			var lo, hi sim.Time
+			n := 0
+			for _, at := range byTenant {
+				if at == 0 {
+					continue
+				}
+				if n == 0 || at < lo {
+					lo = at
+				}
+				if n == 0 || at > hi {
+					hi = at
+				}
+				n++
+			}
+			if n < 2 {
+				continue
+			}
+			samples++
+			maxSkew = max(maxSkew, hi.Sub(lo))
+		}
+		return maxSkew, samples
+	}
+}
+
+// TestOneCopyOfEachFeedDatagram: in every design, a strategy receives each
+// internal-feed datagram it subscribes to from one publisher only — the
+// normalizers divide the partitions instead of each publishing all of them,
+// so no reassembler drops a second copy.
+func TestOneCopyOfEachFeedDatagram(t *testing.T) {
+	for n, build := range StandardDesigns(SmallScenario()) {
+		p := build()
+		p.MeasureRoundTrip(4)
+		for i, s := range p.Strats {
+			if s.MsgsIn == 0 {
+				t.Fatalf("design %d: strategy %d received no messages", n+1, i)
+			}
+			if s.Duplicates != 0 {
+				t.Errorf("design %d: strategy %d dropped %d duplicate datagrams", n+1, i, s.Duplicates)
+			}
+		}
+	}
 }

@@ -71,12 +71,14 @@ func Example_designcompare() {
 	lats := []sim.Duration{5 * sim.Microsecond, 20 * sim.Microsecond, 12 * sim.Microsecond}
 
 	eq := NewDesign2(sc, lats, true)
+	eqSkew := recordSkew(eq)
 	eq.MeasureRoundTrip(3)
-	skewEq, _ := skewStats(eq)
+	skewEq, _ := eqSkew()
 
 	raw := NewDesign2(sc, lats, false)
+	rawSkew := recordSkew(raw)
 	raw.MeasureRoundTrip(3)
-	skewRaw, _ := skewStats(raw)
+	skewRaw, _ := rawSkew()
 
 	fmt.Printf("\ncloud delivery skew across tenants: equalized %v, unequalized %v\n", skewEq, skewRaw)
 	fmt.Println("fairness costs latency: every delivery is padded to the slowest tenant's path.")

@@ -98,7 +98,7 @@ func RunDualPathWAN(msgs int, seed int64) DualPathResult {
 
 	res.MicrowaveWins = arb.AWins
 	res.FiberWins = arb.BWins
-	_, gaps, _ := arb.Stats()
+	_, gaps, _, _ := arb.Stats()
 	res.GapsAfterArbit = gaps
 	res.LostMicrowave = mw.PortA.Lost
 	res.ClearP50 = sim.Duration(clearLat.Median())

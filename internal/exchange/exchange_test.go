@@ -276,7 +276,7 @@ func TestPublishBurstPacksPartitions(t *testing.T) {
 	}
 	// No sequence gaps on any unit.
 	for unit, r := range f.reasm {
-		if _, gaps, lost := r.Stats(); gaps != 0 || lost != 0 {
+		if _, gaps, lost, _ := r.Stats(); gaps != 0 || lost != 0 {
 			t.Fatalf("unit %d: gaps=%d lost=%d", unit, gaps, lost)
 		}
 	}
@@ -350,7 +350,7 @@ func TestExchangeGapRecovery(t *testing.T) {
 			f.ex.RecoveryServer().Served, f.ex.RecoveryServer().Refused)
 	}
 	// Conservation: live + recovered covers every unit-0 message published.
-	msgs, gaps, lost := client.R.Stats()
+	msgs, gaps, lost, _ := client.R.Stats()
 	if gaps == 0 {
 		t.Fatal("reassembler should have seen the gap")
 	}

@@ -179,7 +179,7 @@ func TestArbiterRecoveryExactlyOnceProperty(t *testing.T) {
 
 		// Accounting closes: the arbiter's own ledger agrees with what the
 		// callbacks saw, and every declared-lost message was recovered.
-		msgs, gaps, lost := arb.Stats()
+		msgs, gaps, lost, _ := arb.Stats()
 		if msgs != uint64(len(liveIDs)) {
 			t.Fatalf("seed %d: arbiter msgs=%d, live callback saw %d", seed, msgs, len(liveIDs))
 		}

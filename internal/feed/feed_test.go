@@ -242,7 +242,7 @@ func TestReassemblerInOrderAndGaps(t *testing.T) {
 	if err := r.Consume(d2, func(*Msg) { got++ }); err != nil || got != 7 {
 		t.Fatalf("late dgram: err=%v got=%d", err, got)
 	}
-	msgs, gapN, lost := r.Stats()
+	msgs, gapN, lost, _ := r.Stats()
 	if msgs != 7 || gapN != 1 || lost != 2 {
 		t.Fatalf("stats = %d/%d/%d", msgs, gapN, lost)
 	}
@@ -291,7 +291,7 @@ func TestArbiterTakesFirstCopy(t *testing.T) {
 		t.Fatalf("wins = A:%d B:%d", a.AWins, a.BWins)
 	}
 	// Arbitration healed nothing-lost: no gaps.
-	if _, gaps, _ := a.Stats(); gaps != 0 {
+	if _, gaps, _, _ := a.Stats(); gaps != 0 {
 		t.Fatal("spurious gap under arbitration")
 	}
 	if a.Held() != 0 {
@@ -320,7 +320,7 @@ func TestArbiterHealsSingleSideLoss(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("delivered = %d", n)
 	}
-	if _, gaps, _ := a.Stats(); gaps != 0 {
+	if _, gaps, _, _ := a.Stats(); gaps != 0 {
 		t.Fatal("single-side loss should be healed by arbitration")
 	}
 }
@@ -354,21 +354,22 @@ func TestArbiterReordersAcrossPathSkew(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("delivered = %d after fill", len(got))
 	}
-	if msgs, gaps, lost := statsOf(a); msgs != 3 || gaps != 0 || lost != 0 {
-		t.Fatalf("stats = %d/%d/%d", msgs, gaps, lost)
+	if msgs, gaps, lost, dups := a.Stats(); msgs != 3 || gaps != 0 || lost != 0 || dups != 0 {
+		t.Fatalf("stats = %d/%d/%d/%d", msgs, gaps, lost, dups)
 	}
-	// Late duplicates of everything are ignored.
+	// Late duplicates of everything are ignored, and counted.
 	a.ConsumeB(d1, cb)
 	a.ConsumeB(d3, cb)
 	if len(got) != 3 {
 		t.Fatal("duplicates delivered")
 	}
+	if _, _, _, dups := a.Stats(); dups != 2 {
+		t.Fatalf("dups = %d, want 2", dups)
+	}
 	if a.BWins != 1 || a.AWins != 2 {
 		t.Fatalf("wins = A:%d B:%d", a.AWins, a.BWins)
 	}
 }
-
-func statsOf(a *Arbiter) (uint64, uint64, uint64) { return a.Stats() }
 
 func TestArbiterDeclaresLossWhenBufferOverflows(t *testing.T) {
 	p := NewPacker(Internal, 1)
@@ -405,7 +406,7 @@ func TestArbiterDeclaresLossWhenBufferOverflows(t *testing.T) {
 	if n != 1+len(later) {
 		t.Fatalf("delivered = %d", n)
 	}
-	if _, g, l := a.Stats(); g != 1 || l != 1 {
+	if _, g, l, _ := a.Stats(); g != 1 || l != 1 {
 		t.Fatalf("stats gaps/lost = %d/%d", g, l)
 	}
 }
@@ -587,7 +588,7 @@ func TestArbiterLossPatternProperty(t *testing.T) {
 				return false
 			}
 		}
-		msgs, gaps, lost := a.Stats()
+		msgs, gaps, lost, _ := a.Stats()
 		return msgs == n && gaps == 0 && lost == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -633,7 +634,7 @@ func TestPipelineConservationProperty(t *testing.T) {
 			}
 			r.Consume(d, func(mm *Msg) { got = append(got, mm.OrderID) })
 		}
-		msgs, _, lost := r.Stats()
+		msgs, _, lost, _ := r.Stats()
 		if int(msgs)+int(lost) != published {
 			return false
 		}
@@ -695,7 +696,7 @@ func TestReassemblerResync(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("delivered = %d", n)
 	}
-	if _, gaps, _ := r.Stats(); gaps != 0 {
+	if _, gaps, _, _ := r.Stats(); gaps != 0 {
 		t.Fatal("resync must not record a gap")
 	}
 }

@@ -137,10 +137,13 @@ type Reassembler struct {
 
 	// OnGap, if set, is called when a gap is observed.
 	OnGap func(GapInfo)
+	// OnDup, if set, is called for every datagram dropped as already seen.
+	OnDup func()
 
 	msgs     uint64
 	gaps     uint64
 	lostMsgs uint64
+	dups     uint64
 
 	// scratch is the Msg passed to Consume callbacks; hoisting it off the
 	// stack keeps Consume allocation-free (a stack Msg escapes through the
@@ -157,9 +160,11 @@ func NewReassembler(unit uint8) *Reassembler {
 // joining a stream mid-flight (late subscriber, mid-stream capture).
 func (r *Reassembler) Resync(seq uint32) { r.nextSeq = seq }
 
-// Stats returns totals: messages delivered, gap events, messages lost.
-func (r *Reassembler) Stats() (msgs, gaps, lost uint64) {
-	return r.msgs, r.gaps, r.lostMsgs
+// Stats returns totals: messages delivered, gap events, messages lost, and
+// datagrams dropped as already seen — a second publisher's copy, or a
+// datagram overtaken by a later one (the reassembler holds nothing back).
+func (r *Reassembler) Stats() (msgs, gaps, lost, dups uint64) {
+	return r.msgs, r.gaps, r.lostMsgs, r.dups
 }
 
 // Consume parses datagram, delivering each in-sequence message to fn. It
@@ -178,7 +183,11 @@ func (r *Reassembler) Consume(datagram []byte, fn func(*Msg)) error {
 	}
 	end := h.Seq + uint32(h.Count)
 	if end <= r.nextSeq {
-		return nil // duplicate (e.g. the B feed's copy)
+		r.dups++ // duplicate (e.g. the B feed's copy)
+		if r.OnDup != nil {
+			r.OnDup()
+		}
+		return nil
 	}
 	gapped := false
 	var gap GapInfo
@@ -243,6 +252,7 @@ type Arbiter struct {
 	msgs         uint64
 	gaps         uint64
 	lostMsgs     uint64
+	dups         uint64
 	// HeldMax is the reorder buffer's high-water mark.
 	HeldMax int
 }
@@ -253,8 +263,11 @@ func NewArbiter(unit uint8) *Arbiter {
 }
 
 // Stats returns totals: messages delivered, gap events declared, messages
-// lost on both paths.
-func (a *Arbiter) Stats() (msgs, gaps, lost uint64) { return a.msgs, a.gaps, a.lostMsgs }
+// lost on both paths, and datagrams dropped as already seen (the losing
+// path's copy, or a datagram arriving after its hole was declared lost).
+func (a *Arbiter) Stats() (msgs, gaps, lost, dups uint64) {
+	return a.msgs, a.gaps, a.lostMsgs, a.dups
+}
 
 // Held returns the number of datagrams currently in the reorder buffer.
 func (a *Arbiter) Held() int { return len(a.pending) }
@@ -279,10 +292,12 @@ func (a *Arbiter) consume(dgram []byte, fn func(*Msg), isA bool) error {
 	}
 	end := h.Seq + uint32(h.Count)
 	if end <= a.nextSeq {
-		return nil // stale duplicate
+		a.dups++ // stale duplicate
+		return nil
 	}
 	if _, dup := a.pending[h.Seq]; dup {
-		return nil // the other path's copy already holds this seq
+		a.dups++ // the other path's copy already holds this seq
+		return nil
 	}
 	win := func() {
 		if isA {

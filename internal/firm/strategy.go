@@ -77,6 +77,7 @@ type Strategy struct {
 	OrdersSent   uint64
 	Fills        uint64
 	GapsSeen     uint64 // sequence gaps detected on the normalized feed
+	Duplicates   uint64 // normalized-feed datagrams dropped as already seen
 	QuotePulls   uint64 // gap-triggered pull events (PullOnGap)
 	PulledOrders uint64 // cancels sent by those pulls
 	// Resilience stats (resilience.go).
@@ -112,6 +113,7 @@ func NewStrategy(sched *sim.Scheduler, u *market.Universe, name string, hostID u
 		s.mdNIC.Join(outMap.GroupByIndex(i))
 		r := feed.NewReassembler(uint8(i))
 		r.OnGap = func(feed.GapInfo) { s.noteGap() }
+		r.OnDup = func() { s.Duplicates++ }
 		s.reasm.set(uint8(i), r)
 	}
 	s.mdNIC.OnFrame = s.onFrame
