@@ -166,7 +166,9 @@ func bodyLen(k RecordKind) int {
 	return -1
 }
 
-// Append encodes r (Seq already assigned), appending to b.
+// Append encodes r (Seq already assigned), appending to b. A payload
+// longer than its 16-bit length field can describe is refused, as is an
+// unknown kind: either would emit a record Decode rejects.
 func Append(b []byte, r *Record) []byte {
 	n := bodyLen(r.Kind)
 	if n < 0 {
@@ -174,6 +176,9 @@ func Append(b []byte, r *Record) []byte {
 	}
 	switch r.Kind {
 	case RecSessionTx, RecFeedRaw:
+		if len(r.Payload) > 0xffff {
+			panic("replication: payload longer than 65535 bytes")
+		}
 		n += len(r.Payload)
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(headerLen+n))

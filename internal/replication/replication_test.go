@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -22,6 +23,28 @@ func sampleRecords() []Record {
 			Side: market.Buy, Price: 10_051, Qty: 100},
 		{Kind: RecMassCancel, Session: 2},
 		{Kind: RecHeartbeat},
+	}
+}
+
+// TestAppendRefusesOversizedPayload: a payload that fills the 16-bit length
+// field round-trips; one byte more is refused rather than encoded with a
+// truncated length that Decode would reject.
+func TestAppendRefusesOversizedPayload(t *testing.T) {
+	for _, k := range []RecordKind{RecSessionTx, RecFeedRaw} {
+		r := Record{Kind: k, Seq: 1, Payload: make([]byte, 0xffff)}
+		var got Record
+		if _, err := Decode(Append(nil, &r), &got); err != nil || len(got.Payload) != 0xffff {
+			t.Fatalf("%v: 65535-byte payload decodes as %d bytes, %v", k, len(got.Payload), err)
+		}
+		r.Payload = make([]byte, 0x10000)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: Append encoded a 65536-byte payload", k)
+				}
+			}()
+			Append(nil, &r)
+		}()
 	}
 }
 
@@ -278,6 +301,13 @@ func FuzzJournalDecode(f *testing.F) {
 	}
 	f.Add(stream)
 	f.Add(stream[:len(stream)-7])
+	// The longest payload Append encodes, and the record an Append without
+	// its length check wrote for a payload one byte longer: the full record
+	// length over a 16-bit payload length that wrapped to 0.
+	f.Add(Append(nil, &Record{Kind: RecSessionTx, Seq: 1, Payload: make([]byte, 0xffff)}))
+	over := Append(nil, &Record{Kind: RecFeedRaw, Seq: 1})
+	binary.BigEndian.PutUint32(over, uint32(len(over)+0x10000))
+	f.Add(append(over, make([]byte, 0x10000)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r Record
 		if rest, err := Decode(data, &r); err == nil {
